@@ -264,26 +264,6 @@ func BenchmarkTwoPhaseExchange(b *testing.B) {
 	runCell(b, benchSpec(benchCollPerf(), harness.CacheDisabled, 8, 4<<20, false))
 }
 
-// BenchmarkCollectives measures the message-passing collective algorithms.
-func BenchmarkCollectives(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cl := harness.NewCluster(harness.Scaled(1, 8, 4))
-		c := cl.World.Comm()
-		c.SetCollModel(mpi.MessagePassing)
-		err := cl.World.Run(func(r *mpi.Rank) {
-			for it := 0; it < 10; it++ {
-				c.Allreduce(r, []int64{int64(r.ID())}, mpi.MaxOp)
-				send := make([]int64, c.Size())
-				c.Alltoall(r, send)
-				c.Barrier(r)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Table I / II: hint parsing (definitional tables) ----
 
 func BenchmarkTableIHintParsing(b *testing.B) {

@@ -1,6 +1,7 @@
 package adio
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -31,18 +33,11 @@ const tagDataBase = 1 << 27
 // (verification mode) or every rank passes nil (metadata-only mode);
 // mixing the two writes zeros for the nil ranks' extents.
 //
-// The implementation follows §II-A: (1) all ranks exchange start/end
-// offsets; (2) the interleaving check selects collective vs independent
-// I/O, overridable with romio_cb_write; (3) the accessed range is split
-// into file domains by the driver's partitioning strategy; (4) the
-// extended two-phase loop runs ntimes rounds of Alltoall dissemination,
-// Isend/Irecv data shuffle, collective-buffer packing and WriteContig; and
-// (5) a final Allreduce exchanges error codes. ROMIO precomputes the
-// my_req/others_req maps once before the loop; this implementation derives
-// the identical per-round sets from the file domains inside the loop,
-// which produces the same message pattern.
+// The plain write runs the two-phase engine (twoPhase) once over the
+// file's communicator. With the e10_resilient_write hint the same engine
+// runs under the failover epoch policy instead (coll_resilient.go).
 func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
-	r, c, log := f.rank, f.comm, f.log
+	r := f.rank
 	total, err := validateSegs(segs)
 	if err != nil {
 		return err
@@ -50,39 +45,297 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	if data != nil && int64(len(data)) != total {
 		return fmt.Errorf("adio: payload length %d != segment total %d", len(data), total)
 	}
-	if f.resilientEnabled() {
-		return f.writeStridedCollResilient(segs, data, total)
-	}
+	failover := f.resilientEnabled()
 	f.Stats.CollWrites++
+	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
 
-	mt := f.metrics()
-	mt.Counter("adio_coll_writes_total", layerLabel).Inc()
-	mRoundNs := mt.Histogram("adio_round_ns", layerLabel)
-	mRounds := mt.Counter("adio_coll_rounds_total", layerLabel)
-	mExch := mt.Counter("adio_exchange_bytes_total", layerLabel)
-
-	tr := r.World().Kernel().Tracer()
-	ttk := r.TraceTrack(tr)
-	if tr != nil {
-		csp := tr.Begin(ttk, "adio", "coll_write", int64(r.Now()))
+	if tr := r.World().Kernel().Tracer(); tr != nil {
+		name := "coll_write"
+		if failover {
+			name = "coll_write_resilient"
+		}
+		csp := tr.Begin(r.TraceTrack(tr), "adio", name, int64(r.Now()))
 		defer func() {
 			csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total))
 		}()
 	}
 
+	pre := payloadIndex(segs, data != nil)
+	if failover {
+		return f.writeFailover(segs, pre, data)
+	}
+	return f.twoPhase(epoch{comm: f.comm, aggs: f.aggList}, segs, pre, data)
+}
+
+// epoch is one membership epoch of the two-phase write: the communicator
+// it runs over, the aggregators placed on it, and the policy values that
+// tell the plain write from the failover one.
+type epoch struct {
+	comm *mpi.Comm
+	aggs []int // comm ranks acting as aggregators (placeAggregators)
+	n    int   // epoch number; keys the data-tag space
+
+	// Failover policy only. acked collects this rank's round-acknowledged
+	// extents; a nil set turns the per-round ack off, keeps the whole
+	// access pending and lets romio_cb_write select independent I/O.
+	// deadline bounds each wait for a shuffled message (0 waits forever).
+	acked    *extent.Set
+	deadline sim.Time
+}
+
+// Round-ack and error codes, combined with MaxOp so the worst status wins.
+const (
+	ackOK      = 0 // round written (and acknowledged)
+	ackIOErr   = 1 // an aggregator's WriteContig failed: fatal
+	ackTimeout = 2 // an aggregator missed a shuffle message: retry epoch
+)
+
+// errRemoteWrite reports a write failure seen only through the error-code
+// exchange.
+var errRemoteWrite = errors.New("adio: collective write failed on another rank")
+
+// twoPhase is the extended two-phase write of §II-A over one epoch: (1)
+// all ranks exchange start/end offsets; (2) the interleaving check selects
+// collective vs independent I/O, overridable with romio_cb_write; (3) the
+// accessed range is split into file domains by the driver's partitioning
+// strategy; (4) ntimes rounds of Alltoall dissemination, Isend/Irecv data
+// shuffle, collective-buffer packing and WriteContig; and (5) a final
+// Allreduce exchanges error codes. ROMIO precomputes the my_req/others_req
+// maps once before the loop; this implementation derives the identical
+// per-round sets from the file domains inside the loop, which produces the
+// same message pattern.
+//
+// Every collective surfaces a timeout (armed by World.SetCollTimeout) as
+// an error wrapping mpi.ErrCollTimeout; a missed shuffle message under the
+// failover policy ends the epoch with one wrapping mpi.ErrRecvTimeout.
+func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte) error {
+	r, c, log := f.rank, ep.comm, f.log
+	failover := ep.acked != nil
+
+	mt := f.metrics()
+	mRoundNs := mt.Histogram("adio_round_ns", layerLabel)
+	mRounds := mt.Counter("adio_coll_rounds_total", layerLabel)
+	mExch := mt.Counter("adio_exchange_bytes_total", layerLabel)
+	tr := r.World().Kernel().Tracer()
+	ttk := r.TraceTrack(tr)
+
+	// This rank's pending work. Under the failover policy that is the
+	// unacked gaps of each segment, computed per segment so every pending
+	// extent stays inside one segment and segPayload can locate its bytes.
+	pending := segs
+	if failover {
+		pending = nil
+		for _, s := range segs {
+			pending = append(pending, ep.acked.Gaps(s)...)
+		}
+	}
+
 	// Step 1: exchange access-pattern information (start and end offsets).
 	span := mpe.StartSpan(r.Now())
-	const noData = int64(-1)
-	st, end := noData, noData
-	if len(segs) > 0 {
-		st = segs[0].Off
-		end = segs[len(segs)-1].End() - 1
+	offs, err := c.TryAllgather(r, accessBounds(pending))
+	if err != nil {
+		return collFailed(err)
 	}
-	offs := c.Allgather(r, []int64{st, end})
-
 	// Step 2: interleaving check over adjacent ranks, global range.
-	minSt, maxEnd := int64(-1), int64(-1)
-	interleaved := false
+	minSt, maxEnd, interleaved := globalRange(offs)
+	span.End(log, mpe.PhaseCalc, r.Now())
+	if !failover && (f.hints.CBWrite == HintDisable || (f.hints.CBWrite == HintAutomatic && !interleaved)) {
+		return f.WriteStrided(segs, data)
+	}
+
+	// Step 3: file domains, per the driver's partitioning strategy.
+	fds, ntimes := f.fileDomains(minSt, maxEnd, len(ep.aggs))
+	naggs := len(fds)
+	cb := f.hints.CBBufferSize
+
+	me := c.RankOf(r)
+	myAgg := -1
+	for a := 0; a < naggs; a++ {
+		if ep.aggs[a] == me {
+			myAgg = a
+		}
+	}
+	var myFD extent.Extent
+	if myAgg >= 0 {
+		myFD = fds[myAgg]
+		if buf := min64(cb, myFD.Len); buf > f.Stats.PeakBufBytes {
+			f.Stats.PeakBufBytes = buf
+		}
+		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()),
+			trace.I("off", myFD.Off), trace.I("len", myFD.Len))
+	}
+
+	// The epoch's tag space: rounds live in the low 16 bits, the epoch
+	// above them, so a straggler retransmit from a failed epoch can never
+	// match a later epoch's receives.
+	tagBase := tagDataBase + ((ep.n & 0x3ff) << 16)
+
+	// Step 4: the extended two-phase loop.
+	var firstErr error
+	for m := 0; m < ntimes; m++ {
+		tag := tagBase + (m & 0xffff)
+		roundT0 := r.Now()
+		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
+
+		// What do I send to each aggregator this round?
+		sendExts := make([][]extent.Extent, naggs)
+		sendSizes := make([]int64, c.Size())
+		for a := 0; a < naggs; a++ {
+			win := roundWindow(fds[a], cb, m)
+			if win.Empty() {
+				continue
+			}
+			for _, s := range pending {
+				if ov := s.Intersect(win); !ov.Empty() {
+					sendExts[a] = append(sendExts[a], ov)
+					sendSizes[ep.aggs[a]] += ov.Len
+				}
+			}
+		}
+
+		// Dissemination: every round starts with an MPI_Alltoall telling
+		// each aggregator how much each process contributes.
+		span = mpe.StartSpan(r.Now())
+		recvSizes, err := c.TryAlltoall(r, sendSizes)
+		if err != nil {
+			return collFailed(err)
+		}
+		span.End(log, mpe.PhaseShuffleA2A, r.Now())
+
+		// Data shuffle: post receives, start sends, wait for all.
+		span = mpe.StartSpan(r.Now())
+		var recvReqs []*mpi.Request
+		if myAgg >= 0 {
+			for src := 0; src < c.Size(); src++ {
+				if src == me || recvSizes[src] == 0 {
+					continue
+				}
+				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
+			}
+		}
+		var sendReqs []*mpi.Request
+		var selfExts []extent.Extent
+		for a := 0; a < naggs; a++ {
+			if len(sendExts[a]) == 0 {
+				continue
+			}
+			if ep.aggs[a] == me {
+				selfExts = sendExts[a]
+				continue
+			}
+			msg := buildDataMsg(sendExts[a], segs, pre, data)
+			f.Stats.BytesExchanged += msg.Size
+			mExch.Add(msg.Size)
+			sendReqs = append(sendReqs, r.Isend(c.Member(ep.aggs[a]).ID(), tag, msg))
+		}
+		r.Waitall(sendReqs)
+		msgs, recvErr := f.awaitShuffle(recvReqs, ep.deadline)
+		span.End(log, mpe.PhaseExchWaitall, r.Now())
+
+		// Aggregator: pack the collective buffer and write the domain. A
+		// missed message (a sender died mid-round) skips the write; the
+		// round-ack then sends everyone to the next epoch.
+		code := int64(ackOK)
+		if recvErr != nil {
+			code = ackTimeout
+		} else if myAgg >= 0 {
+			if win := roundWindow(myFD, cb, m); !win.Empty() {
+				if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
+					code = ackIOErr
+					if firstErr == nil {
+						firstErr = err
+					}
+				}
+				f.Stats.CollRounds++
+				mRounds.Inc()
+			}
+		}
+
+		// Round-ack (failover policy): senders release this round's
+		// extents only when every surviving aggregator confirms the round
+		// landed, so anything a dead aggregator had in flight is replayed
+		// from the sender's retained data in the next epoch.
+		if failover {
+			res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
+			if err != nil {
+				return collFailed(err)
+			}
+			switch res[0] {
+			case ackIOErr:
+				if firstErr == nil {
+					firstErr = errRemoteWrite
+				}
+				return firstErr
+			case ackTimeout:
+				return fmt.Errorf("adio: round %d: %w", m, mpi.ErrRecvTimeout)
+			}
+			for _, exts := range sendExts {
+				for _, e := range exts {
+					ep.acked.Add(e)
+				}
+			}
+		}
+		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(ntimes)))
+		mRoundNs.Observe(int64(r.Now() - roundT0))
+	}
+
+	// Step 5: synchronise and exchange error codes.
+	span = mpe.StartSpan(r.Now())
+	code := int64(ackOK)
+	if firstErr != nil {
+		code = ackIOErr
+	}
+	res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
+	if err != nil {
+		return collFailed(err)
+	}
+	span.End(log, mpe.PhasePostWrite, r.Now())
+	if res[0] != ackOK && firstErr == nil {
+		firstErr = errRemoteWrite
+	}
+	return firstErr
+}
+
+// awaitShuffle collects this round's shuffled data messages, bounding each
+// wait by deadline when it is positive.
+func (f *File) awaitShuffle(reqs []*mpi.Request, deadline sim.Time) ([]*mpi.Message, error) {
+	msgs := make([]*mpi.Message, 0, len(reqs))
+	for _, q := range reqs {
+		if deadline <= 0 {
+			msgs = append(msgs, f.rank.Wait(q))
+			continue
+		}
+		msg, err := f.rank.WaitDeadline(q, deadline)
+		if err != nil {
+			return nil, err
+		}
+		msgs = append(msgs, msg)
+	}
+	return msgs, nil
+}
+
+// collFailed wraps a collective's timeout error for the caller.
+func collFailed(err error) error {
+	return fmt.Errorf("adio: collective write: %w", err)
+}
+
+// noData marks a rank with nothing to access in the offset exchange.
+const noData = int64(-1)
+
+// accessBounds is this rank's entry in the offset exchange: the first and
+// last byte segs cover, or noData for both when segs is empty.
+func accessBounds(segs []extent.Extent) []int64 {
+	if len(segs) == 0 {
+		return []int64{noData, noData}
+	}
+	return []int64{segs[0].Off, segs[len(segs)-1].End() - 1}
+}
+
+// globalRange folds the gathered offset pairs into the global accessed
+// range (both ends -1 when no rank has data) and reports whether adjacent
+// ranks' accesses interleave.
+func globalRange(offs [][]int64) (minSt, maxEnd int64, interleaved bool) {
+	minSt, maxEnd = -1, -1
 	prevEnd, hasPrev := int64(-1), false
 	for _, o := range offs {
 		if o[0] == noData {
@@ -99,22 +352,14 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 		}
 		prevEnd, hasPrev = o[1], true
 	}
-	span.End(log, mpe.PhaseCalc, r.Now())
+	return minSt, maxEnd, interleaved
+}
 
-	if f.hints.CBWrite == HintDisable || (f.hints.CBWrite == HintAutomatic && !interleaved) {
-		return f.WriteStrided(segs, data)
-	}
-	if maxEnd < minSt {
-		// No rank has data; still synchronise error codes.
-		span = mpe.StartSpan(r.Now())
-		c.Allreduce(r, []int64{0}, mpi.MaxOp)
-		span.End(log, mpe.PhasePostWrite, r.Now())
-		return nil
-	}
-
-	// Step 3: file domains, per the driver's partitioning strategy.
-	fds := f.driver.FileDomains(minSt, maxEnd, len(f.aggList), f.hints)
-	naggs := len(fds)
+// fileDomains partitions [minSt, maxEnd] over naggs aggregators with the
+// driver's strategy, and returns the number of collective-buffer rounds
+// the largest domain needs.
+func (f *File) fileDomains(minSt, maxEnd int64, naggs int) ([]extent.Extent, int) {
+	fds := f.driver.FileDomains(minSt, maxEnd, naggs, f.hints)
 	cb := f.hints.CBBufferSize
 	ntimes := 0
 	for _, fd := range fds {
@@ -122,116 +367,20 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 			ntimes = nt
 		}
 	}
+	return fds, ntimes
+}
 
-	var pre []int64
-	if data != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
+// payloadIndex returns the prefix sums that locate each segment's bytes in
+// a rank's concatenated payload, or nil in metadata-only mode.
+func payloadIndex(segs []extent.Extent, payload bool) []int64 {
+	if !payload {
+		return nil
 	}
-
-	me := c.RankOf(r)
-	amAgg := f.myAgg >= 0 && f.myAgg < naggs
-	var myFD extent.Extent
-	if amAgg {
-		myFD = fds[f.myAgg]
-		if buf := min64(cb, myFD.Len); buf > f.Stats.PeakBufBytes {
-			f.Stats.PeakBufBytes = buf
-		}
-		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()),
-			trace.I("off", myFD.Off), trace.I("len", myFD.Len))
+	pre := make([]int64, len(segs)+1)
+	for i, s := range segs {
+		pre[i+1] = pre[i] + s.Len
 	}
-
-	// Step 4: the extended two-phase loop.
-	var firstErr error
-	for m := 0; m < ntimes; m++ {
-		tag := tagDataBase + (m & 0xffff)
-		roundT0 := r.Now()
-		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
-
-		// What do I send to each aggregator this round?
-		sendExts := make([][]extent.Extent, naggs)
-		sendSizes := make([]int64, c.Size())
-		for a := 0; a < naggs; a++ {
-			win := roundWindow(fds[a], cb, m)
-			if win.Empty() {
-				continue
-			}
-			for _, s := range segs {
-				if ov := s.Intersect(win); !ov.Empty() {
-					sendExts[a] = append(sendExts[a], ov)
-					sendSizes[f.aggList[a]] += ov.Len
-				}
-			}
-		}
-
-		// Dissemination: every round starts with an MPI_Alltoall telling
-		// each aggregator how much each process contributes.
-		span = mpe.StartSpan(r.Now())
-		recvSizes := c.Alltoall(r, sendSizes)
-		span.End(log, mpe.PhaseShuffleA2A, r.Now())
-
-		// Data shuffle: post receives, start sends, wait for all.
-		span = mpe.StartSpan(r.Now())
-		var recvReqs []*mpi.Request
-		if amAgg {
-			for src := 0; src < c.Size(); src++ {
-				if src == me || recvSizes[src] == 0 {
-					continue
-				}
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-			}
-		}
-		var sendReqs []*mpi.Request
-		var selfExts []extent.Extent
-		for a := 0; a < naggs; a++ {
-			if len(sendExts[a]) == 0 {
-				continue
-			}
-			if f.aggList[a] == me {
-				selfExts = sendExts[a]
-				continue
-			}
-			msg := buildDataMsg(sendExts[a], segs, pre, data)
-			f.Stats.BytesExchanged += msg.Size
-			mExch.Add(msg.Size)
-			sendReqs = append(sendReqs, r.Isend(c.Member(f.aggList[a]).ID(), tag, msg))
-		}
-		r.Waitall(sendReqs)
-		r.Waitall(recvReqs)
-		span.End(log, mpe.PhaseExchWaitall, r.Now())
-
-		// Aggregator: pack the collective buffer and write the domain.
-		if amAgg {
-			if win := roundWindow(myFD, cb, m); !win.Empty() {
-				var msgs []*mpi.Message
-				for _, q := range recvReqs {
-					msgs = append(msgs, r.Wait(q))
-				}
-				if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				f.Stats.CollRounds++
-				mRounds.Inc()
-			}
-		}
-		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(ntimes)))
-		mRoundNs.Observe(int64(r.Now() - roundT0))
-	}
-
-	// Step 5: synchronise and exchange error codes.
-	span = mpe.StartSpan(r.Now())
-	code := int64(0)
-	if firstErr != nil {
-		code = 1
-	}
-	res := c.Allreduce(r, []int64{code}, mpi.MaxOp)
-	span.End(log, mpe.PhasePostWrite, r.Now())
-	if res[0] != 0 && firstErr == nil {
-		firstErr = fmt.Errorf("adio: collective write failed on another rank")
-	}
-	return firstErr
+	return pre
 }
 
 // roundWindow returns the sub-domain of fd written in round m with a

@@ -10,26 +10,34 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the degraded-mode variant of the extended two-phase
-// collective write: the same round structure as WriteStridedColl, wrapped
-// in a failover-epoch loop that survives aggregator death and network
-// partitions.
+// This file is the failover epoch policy of the two-phase engine
+// (twoPhase in coll.go). The plain write runs the engine once over the
+// file's communicator; the failover policy runs it once per membership
+// epoch, so the write survives aggregator death and network partitions.
+// Three values, all derived from the e10_resilient_write hint, set the two
+// policies apart:
 //
-// The protocol adds one collective per round — a round-ack Allreduce — and
-// treats the acked extent set as the unit of progress: a sender releases a
-// round's buffers (here: stops considering those extents pending) only
-// once the round-ack succeeds, so anything an aggregator had in flight
-// when it died is replayed from the sender's retained data in the next
-// epoch. Epochs are delimited by collective failures: any timed-out
-// collective or receive aborts the epoch, the survivors recompute the live
-// membership and the file-domain partitioning over it (deterministically —
-// same survivor set, same domains), and only the unacked remainder is
-// re-exchanged. Re-writing an extent is idempotent: the bytes are the
-// same, so byte conservation holds across failover.
+//   - membership: each epoch runs over a fresh communicator of the ranks
+//     still alive, with aggregators re-placed on it by the same
+//     placeAggregators rule the open used;
+//   - round-ack: a per-round Allreduce confirms that every surviving
+//     aggregator wrote its window. The acked extent set is the unit of
+//     progress: a sender stops considering a round's extents pending only
+//     once the ack succeeds, so anything an aggregator had in flight when
+//     it died is replayed from the sender's retained data next epoch;
+//   - receive wait: an aggregator waits for each shuffled message for at
+//     most half the collective timeout instead of forever.
 //
-// The failover machinery requires World.SetCollTimeout to be armed; with
-// no timeout a collective involving a dead rank waits forever and the
-// epoch loop never advances.
+// Any timed-out collective or receive ends the epoch. The survivors then
+// recompute the live membership and the file domains over it
+// (deterministically: same survivor set, same domains) and re-exchange
+// only the unacked remainder. Re-writing an extent is idempotent: the
+// bytes are the same, so byte conservation holds across failover. Unlike
+// the plain policy, failover never switches to independent I/O, which has
+// no failover of its own.
+//
+// The policy requires World.SetCollTimeout to be armed; with no timeout a
+// collective involving a dead rank waits forever and no epoch ever ends.
 
 // HintResilientWrite enables the failover-capable collective write path
 // ("enable"/"disable"). It rides in the hint Extra set, like the e10_*
@@ -41,56 +49,27 @@ const HintResilientWrite = "e10_resilient_write"
 // failure without progress gives up with ErrFailoverExhausted.
 const maxFailoverEpochs = 8
 
-// DefaultRecvDeadline bounds an aggregator's wait for one shuffled data
+// defaultRecvDeadline bounds an aggregator's wait for one shuffled data
 // message when no collective timeout is armed to derive it from.
-const DefaultRecvDeadline = 100 * sim.Millisecond
+const defaultRecvDeadline = 100 * sim.Millisecond
 
 // ErrFailoverExhausted reports that the resilient write could not complete
 // within maxFailoverEpochs membership epochs.
 var ErrFailoverExhausted = errors.New("adio: resilient collective write exhausted failover epochs")
 
-// errEpochFailed marks an epoch aborted by a retryable degraded-mode
-// condition (collective timeout, receive deadline, peer-reported timeout).
-var errEpochFailed = errors.New("adio: failover epoch aborted")
-
-// Round-ack codes, combined with MaxOp so the worst peer status wins.
-const (
-	ackOK      = 0 // round written and acknowledged
-	ackIOErr   = 1 // an aggregator's WriteContig failed: fatal
-	ackTimeout = 2 // an aggregator missed a shuffle message: retry epoch
-)
-
 // resilientEnabled reports whether the e10_resilient_write hint selects
-// the failover path.
+// the failover policy.
 func (f *File) resilientEnabled() bool {
 	v, _ := f.hints.Extra.Get(HintResilientWrite)
 	return v == "enable"
 }
 
-// writeStridedCollResilient runs the failover-epoch loop around
-// resilientEpoch. acked accumulates every extent of this rank whose round
-// was acknowledged; each epoch replays only the gaps.
-func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, total int64) error {
+// writeFailover runs the two-phase engine once per membership epoch until
+// an epoch completes the write. acked accumulates every extent of this
+// rank whose round was acknowledged; each epoch replays only the gaps.
+func (f *File) writeFailover(segs []extent.Extent, pre []int64, data []byte) error {
 	r, w := f.rank, f.rank.World()
-	f.Stats.CollWrites++
-	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
-
 	tr := w.Kernel().Tracer()
-	ttk := r.TraceTrack(tr)
-	if tr != nil {
-		csp := tr.Begin(ttk, "adio", "coll_write_resilient", int64(r.Now()))
-		defer func() {
-			csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total))
-		}()
-	}
-
-	var pre []int64
-	if data != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
 
 	// Per-file resilient-call counter: collective calls run in lockstep on
 	// every rank, so the counter agrees across the communicator and keys
@@ -106,11 +85,11 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 	// collective behind for the rest of the call.
 	deadline := w.CollTimeout() / 2
 	if deadline <= 0 {
-		deadline = DefaultRecvDeadline
+		deadline = defaultRecvDeadline
 	}
 
 	var acked extent.Set
-	for epoch := 0; epoch < maxFailoverEpochs; epoch++ {
+	for n := 0; n < maxFailoverEpochs; n++ {
 		// Survivor membership, in the file communicator's rank order, so
 		// every live rank derives the same sub-communicator and the same
 		// aggregator placement.
@@ -120,230 +99,24 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 				live = append(live, id)
 			}
 		}
-		scope := fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch)
+		scope := fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, n)
 		sub := w.NewSharedComm(live, scope)
 		if sub.RankOf(r) < 0 {
 			return fmt.Errorf("adio: rank %d not in survivor set", r.ID())
 		}
-		if epoch > 0 {
+		if n > 0 {
 			f.Stats.FailoverEpochs++
 			f.metrics().Counter("adio_failover_epochs_total", layerLabel).Inc()
 			if tr != nil {
-				tr.Instant(ttk, "adio", "failover_epoch", int64(r.Now()),
-					trace.I("epoch", int64(epoch)), trace.I("survivors", int64(len(live))))
+				tr.Instant(r.TraceTrack(tr), "adio", "failover_epoch", int64(r.Now()),
+					trace.I("epoch", int64(n)), trace.I("survivors", int64(len(live))))
 			}
 		}
-		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, errEpochFailed) && !errors.Is(err, mpi.ErrCollTimeout) {
+		ep := epoch{comm: sub, aggs: placeAggregators(sub, f.hints), n: n, acked: &acked, deadline: deadline}
+		err := f.twoPhase(ep, segs, pre, data)
+		if !errors.Is(err, mpi.ErrCollTimeout) && !errors.Is(err, mpi.ErrRecvTimeout) {
 			return err
 		}
 	}
 	return fmt.Errorf("%w (after %d epochs)", ErrFailoverExhausted, maxFailoverEpochs)
-}
-
-// resilientEpoch runs one membership epoch of the two-phase loop over the
-// unacked remainder. A nil return means the whole write (this rank's part
-// and, via the final code exchange, everyone else's) completed; a
-// retryable abort is reported as errEpochFailed (possibly wrapping the
-// underlying timeout) and a write error is returned as itself.
-func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre []int64,
-	data []byte, acked *extent.Set, deadline sim.Time) error {
-	r := f.rank
-	me := c.RankOf(r)
-
-	// This rank's pending work: the unacked gaps of each original segment.
-	// Gaps are computed per segment, so every pending extent stays inside
-	// one segment and segPayload can locate its bytes.
-	var rem []extent.Extent
-	for _, s := range segs {
-		rem = append(rem, acked.Gaps(s)...)
-	}
-
-	// Offset exchange over the survivor communicator.
-	const noData = int64(-1)
-	st, end := noData, noData
-	if len(rem) > 0 {
-		st = rem[0].Off
-		end = rem[len(rem)-1].End() - 1
-	}
-	offs, err := c.TryAllgather(r, []int64{st, end})
-	if err != nil {
-		return fmt.Errorf("%w: %w", errEpochFailed, err)
-	}
-	minSt, maxEnd := int64(-1), int64(-1)
-	for _, o := range offs {
-		if o[0] == noData {
-			continue
-		}
-		if minSt == -1 || o[0] < minSt {
-			minSt = o[0]
-		}
-		if o[1] > maxEnd {
-			maxEnd = o[1]
-		}
-	}
-	if maxEnd < minSt {
-		// Nothing left anywhere: synchronise final codes and succeed.
-		if _, err := c.TryAllreduce(r, []int64{ackOK}, mpi.MaxOp); err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
-		}
-		return nil
-	}
-
-	// File domains recomputed over the survivors: same aggregator count as
-	// the healthy run (capped by the surviving membership), re-placed by
-	// the standard spreading rule so every survivor derives the same map.
-	naggs := len(f.aggList)
-	if naggs > c.Size() {
-		naggs = c.Size()
-	}
-	aggList := aggregatorRanks(c.Size(), naggs)
-	fds := f.driver.FileDomains(minSt, maxEnd, naggs, f.hints)
-	naggs = len(fds)
-	myAgg := -1
-	for i := 0; i < naggs; i++ {
-		if aggList[i] == me {
-			myAgg = i
-		}
-	}
-	amAgg := myAgg >= 0
-	cb := f.hints.CBBufferSize
-	ntimes := 0
-	for _, fd := range fds {
-		if nt := int((fd.Len + cb - 1) / cb); nt > ntimes {
-			ntimes = nt
-		}
-	}
-	if amAgg {
-		if buf := min64(cb, fds[myAgg].Len); buf > f.Stats.PeakBufBytes {
-			f.Stats.PeakBufBytes = buf
-		}
-	}
-
-	mExch := f.metrics().Counter("adio_exchange_bytes_total", layerLabel)
-	mRounds := f.metrics().Counter("adio_coll_rounds_total", layerLabel)
-
-	// The epoch's tag space: rounds live in the low 16 bits, the epoch
-	// above them, so a straggler retransmit from a failed epoch can never
-	// match a later epoch's receives.
-	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
-
-	var firstErr error
-	for m := 0; m < ntimes; m++ {
-		tag := tagBase + (m & 0xffff)
-
-		sendExts := make([][]extent.Extent, naggs)
-		sendSizes := make([]int64, c.Size())
-		for a := 0; a < naggs; a++ {
-			win := roundWindow(fds[a], cb, m)
-			if win.Empty() {
-				continue
-			}
-			for _, s := range rem {
-				if ov := s.Intersect(win); !ov.Empty() {
-					sendExts[a] = append(sendExts[a], ov)
-					sendSizes[aggList[a]] += ov.Len
-				}
-			}
-		}
-
-		recvSizes, err := c.TryAlltoall(r, sendSizes)
-		if err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
-		}
-
-		var recvReqs []*mpi.Request
-		if amAgg {
-			for src := 0; src < c.Size(); src++ {
-				if src == me || recvSizes[src] == 0 {
-					continue
-				}
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-			}
-		}
-		var sendReqs []*mpi.Request
-		var selfExts []extent.Extent
-		for a := 0; a < naggs; a++ {
-			if len(sendExts[a]) == 0 {
-				continue
-			}
-			if aggList[a] == me {
-				selfExts = sendExts[a]
-				continue
-			}
-			msg := buildDataMsg(sendExts[a], segs, pre, data)
-			f.Stats.BytesExchanged += msg.Size
-			mExch.Add(msg.Size)
-			sendReqs = append(sendReqs, r.Isend(c.Member(aggList[a]).ID(), tag, msg))
-		}
-		r.Waitall(sendReqs)
-
-		// Aggregator: collect contributions under a deadline — a sender
-		// that died mid-round must not park this rank forever — then pack
-		// and write whatever arrived. A missed message degrades the round
-		// to ackTimeout; the write is not attempted, and the round-ack
-		// sends everyone to the next epoch.
-		code := int64(ackOK)
-		if amAgg {
-			if win := roundWindow(fds[myAgg], cb, m); !win.Empty() {
-				msgs := make([]*mpi.Message, 0, len(recvReqs))
-				for _, q := range recvReqs {
-					msg, rerr := r.WaitDeadline(q, deadline)
-					if rerr != nil {
-						code = ackTimeout
-						break
-					}
-					msgs = append(msgs, msg)
-				}
-				if code == ackOK {
-					if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
-						code = ackIOErr
-						if firstErr == nil {
-							firstErr = err
-						}
-					}
-					f.Stats.CollRounds++
-					mRounds.Inc()
-				}
-			}
-		}
-
-		// Round-ack: senders release this round's extents only when every
-		// surviving aggregator confirms the round landed.
-		res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
-		if err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
-		}
-		switch res[0] {
-		case ackIOErr:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("adio: collective write failed on another rank")
-			}
-			return firstErr
-		case ackTimeout:
-			return fmt.Errorf("%w: %w in round %d", errEpochFailed, mpi.ErrRecvTimeout, m)
-		}
-		for a := 0; a < naggs; a++ {
-			for _, e := range sendExts[a] {
-				acked.Add(e)
-			}
-		}
-	}
-
-	// Final code exchange, as in the standard path.
-	code := int64(ackOK)
-	if firstErr != nil {
-		code = ackIOErr
-	}
-	res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
-	if err != nil {
-		return fmt.Errorf("%w: %w", errEpochFailed, err)
-	}
-	if res[0] != ackOK && firstErr == nil {
-		firstErr = fmt.Errorf("adio: collective write failed on another rank")
-	}
-	return firstErr
 }

@@ -31,58 +31,16 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 	// Offset exchange and interleaving check, as in the write path.
 	span := mpe.StartSpan(r.Now())
-	const noData = int64(-1)
-	st, end := noData, noData
-	if len(segs) > 0 {
-		st = segs[0].Off
-		end = segs[len(segs)-1].End() - 1
-	}
-	offs := c.Allgather(r, []int64{st, end})
-	minSt, maxEnd := int64(-1), int64(-1)
-	interleaved := false
-	prevEnd, hasPrev := int64(-1), false
-	for _, o := range offs {
-		if o[0] == noData {
-			continue
-		}
-		if minSt == -1 || o[0] < minSt {
-			minSt = o[0]
-		}
-		if o[1] > maxEnd {
-			maxEnd = o[1]
-		}
-		if hasPrev && o[0] < prevEnd {
-			interleaved = true
-		}
-		prevEnd, hasPrev = o[1], true
-	}
+	minSt, maxEnd, interleaved := globalRange(c.Allgather(r, accessBounds(segs)))
 	span.End(log, mpe.PhaseCalc, r.Now())
 
 	if f.hints.CBRead == HintDisable || (f.hints.CBRead == HintAutomatic && !interleaved) {
 		return f.ReadStrided(segs, buf)
 	}
-	if maxEnd < minSt {
-		c.Allreduce(r, []int64{0}, mpi.MaxOp)
-		return nil
-	}
-
-	fds := f.driver.FileDomains(minSt, maxEnd, len(f.aggList), f.hints)
+	fds, ntimes := f.fileDomains(minSt, maxEnd, len(f.aggList))
 	naggs := len(fds)
 	cb := f.hints.CBBufferSize
-	ntimes := 0
-	for _, fd := range fds {
-		if nt := int((fd.Len + cb - 1) / cb); nt > ntimes {
-			ntimes = nt
-		}
-	}
-
-	var pre []int64
-	if buf != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
+	pre := payloadIndex(segs, buf != nil)
 
 	me := c.RankOf(r)
 	amAgg := f.myAgg >= 0 && f.myAgg < naggs

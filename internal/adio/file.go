@@ -137,11 +137,7 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 		log:     log,
 		myAgg:   -1,
 	}
-	if hints.CBPerNode > 0 {
-		f.aggList = aggregatorRanksPacked(a.Comm, hints.CBNodes, hints.CBPerNode)
-	} else {
-		f.aggList = aggregatorRanks(a.Comm.Size(), hints.CBNodes)
-	}
+	f.aggList = placeAggregators(a.Comm, hints)
 	for i, a := range f.aggList {
 		if a == me {
 			f.myAgg = i
@@ -163,6 +159,17 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	}
 	span.End(log, mpe.PhaseOpen, r.Now())
 	return f, nil
+}
+
+// placeAggregators returns the comm ranks acting as aggregators over c:
+// cb_config_list "*:N" packs them per node, otherwise they are spread.
+// The open places them over the file's communicator and each failover
+// epoch re-places them over the survivors, by the same rule.
+func placeAggregators(c *mpi.Comm, h *Hints) []int {
+	if h.CBPerNode > 0 {
+		return aggregatorRanksPacked(c, h.CBNodes, h.CBPerNode)
+	}
+	return aggregatorRanks(c.Size(), h.CBNodes)
 }
 
 // aggregatorRanks spreads naggs aggregators evenly over the communicator.

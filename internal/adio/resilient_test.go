@@ -1,6 +1,9 @@
 package adio
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -166,5 +169,110 @@ func TestResilientWriteDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("virtual end times differ across identical runs: %v vs %v", a, b)
+	}
+}
+
+// TestCollWriteSurfacesCollTimeout crashes a node under the plain
+// (non-failover) collective write with a collective timeout armed. The
+// write cannot finish, but it must not report success either: every
+// survivor either gets an error matching mpi.ErrCollTimeout or finds all
+// of its bytes on file.
+func TestCollWriteSurfacesCollTimeout(t *testing.T) {
+	const chunk, cycles = 16 << 10, 4
+	cl := newCluster(t, 7, 4, 2, store.NewMem)
+	cl.w.SetCollTimeout(50 * sim.Millisecond)
+	nranks := cl.w.Size()
+	cl.k.After(20*sim.Millisecond, func() { cl.w.KillNode(2) })
+	info := mpi.Info{HintCBNodes: "2", HintCBBufferSize: "4096", HintCBWrite: HintEnable}
+
+	errs := make([]error, nranks)
+	err := cl.w.Run(func(r *mpi.Rank) {
+		f, err := OpenColl(r, OpenArgs{
+			Comm: cl.w.Comm(), Registry: cl.reg, Path: "out.dat", Create: true, Info: info,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		segs, data := blockCyclic(nranks, r.ID(), chunk, cycles)
+		errs[r.ID()] = f.WriteStridedColl(segs, data)
+		f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := cl.fs.Lookup("out.dat")
+	if meta == nil {
+		t.Fatal("file not created")
+	}
+	got := make([]byte, int64(cycles*nranks*chunk))
+	meta.Store().ReadAt(got, 0)
+	for rank := 0; rank < nranks; rank++ {
+		if !cl.w.Alive(rank) {
+			continue
+		}
+		if werr := errs[rank]; werr != nil {
+			if !errors.Is(werr, mpi.ErrCollTimeout) {
+				t.Errorf("survivor rank %d: error %v does not match mpi.ErrCollTimeout", rank, werr)
+			}
+			continue
+		}
+		segs, data := blockCyclic(nranks, rank, chunk, cycles)
+		var cursor int64
+		for _, s := range segs {
+			if !bytes.Equal(got[s.Off:s.End()], data[cursor:cursor+s.Len]) {
+				t.Fatalf("survivor rank %d: write returned nil but extent %v is not on file", rank, s)
+			}
+			cursor += s.Len
+		}
+	}
+}
+
+// TestResilientWriteHonoursCBConfigList checks that the failover policy
+// places aggregators with the same cb_config_list rule as the open: with
+// "*:2" over 8 ranks on 4 nodes, the two aggregators are ranks 0 and 1
+// (both on node 0) on the plain and the resilient path alike.
+func TestResilientWriteHonoursCBConfigList(t *testing.T) {
+	const chunk, cycles = 1024, 4
+	aggregators := func(info mpi.Info) []int {
+		cl := newCluster(t, 1, 4, 2, store.NewMem)
+		cl.w.SetCollTimeout(50 * sim.Millisecond)
+		nranks := cl.w.Size()
+		wrote := make([]bool, nranks)
+		err := cl.w.Run(func(r *mpi.Rank) {
+			f, err := OpenColl(r, OpenArgs{
+				Comm: cl.w.Comm(), Registry: cl.reg, Path: "out.dat", Create: true, Info: info,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			segs, data := blockCyclic(nranks, r.ID(), chunk, cycles)
+			if err := f.WriteStridedColl(segs, data); err != nil {
+				t.Error(err)
+			}
+			wrote[r.ID()] = f.Stats.CollRounds > 0
+			f.Close()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		for rank, ok := range wrote {
+			if ok {
+				out = append(out, rank)
+			}
+		}
+		return out
+	}
+	plain := mpi.Info{HintCBNodes: "2", HintCBBufferSize: "4096", HintCBConfigList: "*:2"}
+	resilient := plain.Clone()
+	resilient.Set(HintResilientWrite, HintEnable)
+	want := []int{0, 1}
+	if got := aggregators(plain); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("plain write aggregators = %v, want %v", got, want)
+	}
+	if got := aggregators(resilient); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("resilient write aggregators = %v, want %v", got, want)
 	}
 }

@@ -10,26 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-// CollModel selects how collectives are executed.
-type CollModel int
-
-const (
-	// Analytic charges a LogGP-style cost model and synchronises all ranks
-	// at max(arrival) + cost. It keeps 512-rank multi-round sweeps fast
-	// while preserving wait-for-slowest semantics. This is the default.
-	Analytic CollModel = iota
-	// MessagePassing runs real message-based algorithms (dissemination
-	// barrier, binomial bcast/reduce, ring allgather, pairwise alltoall)
-	// over the simulated network.
-	MessagePassing
-)
-
 // Comm is a communicator: an ordered group of ranks.
+//
+// Collectives run on an analytic model: a LogGP-style cost is charged and
+// every rank resumes at max(arrival) + cost. That keeps 512-rank
+// multi-round sweeps fast while preserving wait-for-slowest semantics. The
+// tests check it against message-passing algorithms over the simulated
+// network (oracle_test.go).
 type Comm struct {
 	w       *World
 	ranks   []*Rank
 	index   map[int]int // world id -> comm rank
-	model   CollModel
 	states  map[int]*collState
 	callIdx []int
 }
@@ -85,9 +76,6 @@ func (w *World) NewSharedComm(members []int, scope string) *Comm {
 	w.interned[key] = c
 	return c
 }
-
-// SetCollModel selects the collective execution model.
-func (c *Comm) SetCollModel(m CollModel) { c.model = m }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
@@ -310,7 +298,7 @@ func (c *Comm) collCost(kind string, n int64) sim.Time {
 	switch kind {
 	case "barrier":
 		return log2p * step
-	case "bcast", "reduce", "allreduce":
+	case "allreduce":
 		return log2p * (step + bw.DurationFor(n))
 	case "allgather":
 		return log2p*step + sim.Time(p-1)*bw.DurationFor(n)
@@ -333,8 +321,7 @@ type collSpan struct {
 	t0 sim.Time
 }
 
-// beginColl opens a collSpan for one collective call (both execution models
-// route through the public wrappers).
+// beginColl opens a collSpan for one collective call.
 func (c *Comm) beginColl(r *Rank, name string) collSpan {
 	cs := collSpan{c: c}
 	c.w.collStarted[r.id]++
@@ -408,11 +395,7 @@ var (
 // Barrier blocks until every rank of the communicator has entered.
 func (c *Comm) Barrier(r *Rank) {
 	sp := c.beginColl(r, "barrier")
-	if c.model == MessagePassing {
-		c.msgBarrier(r)
-	} else {
-		c.sync(r, "barrier", 0, nil)
-	}
+	c.sync(r, "barrier", 0, nil)
 	sp.end(r)
 }
 
@@ -421,9 +404,6 @@ func (c *Comm) Barrier(r *Rank) {
 func (c *Comm) Allreduce(r *Rank, vals []int64, op Op) []int64 {
 	sp := c.beginColl(r, "allreduce")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllreduce(r, vals, op)
-	}
 	inputs := c.sync(r, "allreduce", int64(8*len(vals)), vals)
 	return foldInputs(inputs, vals, op)
 }
@@ -458,9 +438,6 @@ func foldInputs(inputs [][]int64, own []int64, op Op) []int64 {
 func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
 	sp := c.beginColl(r, "allgather")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllgather(r, vals)
-	}
 	// The rendezvous result is returned as-is: the state it lives in is
 	// released once the collective completes, and callers treat it as
 	// read-only. Copying the outer slice would cost O(ranks) per caller —
@@ -477,9 +454,6 @@ func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 	}
 	sp := c.beginColl(r, "alltoall")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAlltoall(r, send)
-	}
 	inputs := c.sync(r, "alltoall", 8, send)
 	me := c.RankOf(r)
 	out := make([]int64, len(c.ranks))
@@ -491,37 +465,16 @@ func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 	return out
 }
 
-// Bcast distributes root's vals to every rank (MPI_Bcast).
-func (c *Comm) Bcast(r *Rank, root int, vals []int64) []int64 {
-	sp := c.beginColl(r, "bcast")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgBcast(r, root, vals)
-	}
-	var n int64
-	if c.RankOf(r) == root {
-		n = int64(8 * len(vals))
-	}
-	inputs := c.sync(r, "bcast", n, vals)
-	return inputs[root]
-}
-
 // ---- Error-aware (Try) variants ----
 //
 // The Try* collectives surface a *CollTimeoutError instead of silently
 // returning partial data when SetCollTimeout is armed and the operation
-// stalls (dead ranks, network partition). Under the MessagePassing model
-// they fall back to the plain algorithms, which have no timeout support —
-// degraded-mode callers (the resilient two-phase write) require Analytic.
+// stalls (dead ranks, network partition).
 
 // TryBarrier is Barrier with timeout surfacing.
 func (c *Comm) TryBarrier(r *Rank) error {
 	sp := c.beginColl(r, "barrier")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		c.msgBarrier(r)
-		return nil
-	}
 	_, err := c.syncErr(r, "barrier", 0, nil)
 	return err
 }
@@ -531,9 +484,6 @@ func (c *Comm) TryBarrier(r *Rank) error {
 func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	sp := c.beginColl(r, "allreduce")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllreduce(r, vals, op), nil
-	}
 	inputs, err := c.syncErr(r, "allreduce", int64(8*len(vals)), vals)
 	if err != nil {
 		return nil, err
@@ -545,9 +495,6 @@ func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
 	sp := c.beginColl(r, "allgather")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllgather(r, vals), nil
-	}
 	inputs, err := c.syncErr(r, "allgather", int64(8*len(vals)), vals)
 	if err != nil {
 		return nil, err
@@ -563,9 +510,6 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	}
 	sp := c.beginColl(r, "alltoall")
 	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAlltoall(r, send), nil
-	}
 	inputs, err := c.syncErr(r, "alltoall", 8, send)
 	if err != nil {
 		return nil, err
@@ -580,139 +524,38 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	return out, nil
 }
 
-// ---- Message-passing implementations ----
-
-// advanceTagFor reserves a tag block for one collective call. All ranks
-// allocate collective call indices in the same order (SPMD), so the tag is
-// consistent across the communicator; the stride of 4 leaves room for
-// multi-stage algorithms (reduce+bcast) to use distinct sub-tags.
-func (c *Comm) advanceTagFor(me int) int {
-	tag := 1<<30 + c.callIdx[me]*4
-	c.callIdx[me]++
-	return tag
-}
-
-func (c *Comm) msgBarrier(r *Rank) {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	for dist := 1; dist < p; dist *= 2 {
-		dst := c.ranks[(me+dist)%p].id
-		src := c.ranks[(me-dist+p)%p].id
-		req := r.Irecv(src, tag)
-		r.Send(dst, tag, Message{Size: 1})
-		r.Wait(req)
+// Split partitions the communicator by color; ranks with equal color land
+// in a new communicator ordered by (key, rank), as MPI_Comm_split. Every
+// member must call it; callers with color < 0 (MPI_UNDEFINED) get nil.
+// The grouping is computed via an Allgather of (color, key) pairs, so it
+// costs one collective.
+func (c *Comm) Split(r *Rank, color, key int) *Comm {
+	pairs := c.Allgather(r, []int64{int64(color), int64(key)})
+	if color < 0 {
+		return nil
 	}
-}
-
-func (c *Comm) msgBcast(r *Rank, root int, vals []int64) []int64 {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	rel := (me - root + p) % p // position in the binomial tree rooted at 0
-	if rel != 0 {
-		src := ((rel - lowestSetBit(rel)) + root) % p
-		m := r.Recv(c.ranks[src].id, tag)
-		vals = m.Vals
+	type member struct {
+		rank int // position in c
+		key  int64
 	}
-	for dist := topMask(p); dist >= 1; dist /= 2 {
-		if rel%(2*dist) == 0 && rel+dist < p {
-			dst := (rel + dist + root) % p
-			r.Send(c.ranks[dst].id, tag, Message{Vals: vals})
+	var members []member
+	for i, p := range pairs {
+		if p[0] == int64(color) {
+			members = append(members, member{rank: i, key: p[1]})
 		}
 	}
-	return vals
-}
-
-func (c *Comm) msgAllreduce(r *Rank, vals []int64, op Op) []int64 {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	acc := make([]int64, len(vals))
-	copy(acc, vals)
-	// Binomial reduce to comm rank 0.
-	for dist := 1; dist < p; dist *= 2 {
-		if me%(2*dist) == 0 {
-			if me+dist < p {
-				m := r.Recv(c.ranks[me+dist].id, tag)
-				for j := range acc {
-					acc[j] = op(acc[j], m.Vals[j])
-				}
-			}
-		} else {
-			r.Send(c.ranks[me-dist].id, tag, Message{Vals: acc})
-			break
+	// Stable order by (key, rank).
+	for i := 1; i < len(members); i++ {
+		for j := i; j > 0 && (members[j].key < members[j-1].key ||
+			(members[j].key == members[j-1].key && members[j].rank < members[j-1].rank)); j-- {
+			members[j], members[j-1] = members[j-1], members[j]
 		}
 	}
-	// Binomial broadcast of the result on a distinct sub-tag.
-	return c.bcastWithTag(r, 0, acc, tag+1)
-}
-
-func (c *Comm) bcastWithTag(r *Rank, root int, vals []int64, tag int) []int64 {
-	me := c.RankOf(r)
-	p := len(c.ranks)
-	rel := (me - root + p) % p
-	if rel != 0 {
-		src := ((rel - lowestSetBit(rel)) + root) % p
-		m := r.Recv(c.ranks[src].id, tag)
-		vals = m.Vals
+	ids := make([]int, len(members))
+	for i, m := range members {
+		ids[i] = c.ranks[m.rank].id
 	}
-	for dist := topMask(p); dist >= 1; dist /= 2 {
-		if rel%(2*dist) == 0 && rel+dist < p {
-			dst := (rel + dist + root) % p
-			r.Send(c.ranks[dst].id, tag, Message{Vals: vals})
-		}
-	}
-	return vals
-}
-
-func (c *Comm) msgAllgather(r *Rank, vals []int64) [][]int64 {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	out := make([][]int64, p)
-	out[me] = vals
-	// Ring: forward the (p-1) most recently received contributions.
-	right := c.ranks[(me+1)%p].id
-	left := c.ranks[(me-1+p)%p].id
-	cur := me
-	curVals := vals
-	for step := 0; step < p-1; step++ {
-		req := r.Irecv(left, tag)
-		r.Send(right, tag, Message{Vals: append([]int64{int64(cur)}, curVals...)})
-		m := r.Wait(req)
-		cur = int(m.Vals[0])
-		curVals = m.Vals[1:]
-		out[cur] = curVals
-	}
-	return out
-}
-
-func (c *Comm) msgAlltoall(r *Rank, send []int64) []int64 {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	out := make([]int64, p)
-	out[me] = send[me]
-	for round := 1; round < p; round++ {
-		dst := (me + round) % p
-		src := (me - round + p) % p
-		req := r.Irecv(c.ranks[src].id, tag)
-		r.Send(c.ranks[dst].id, tag, Message{Vals: []int64{send[dst]}})
-		m := r.Wait(req)
-		out[src] = m.Vals[0]
-	}
-	return out
-}
-
-func lowestSetBit(x int) int { return x & (-x) }
-
-// topMask returns the largest power of two strictly below the smallest
-// power of two >= p (i.e. the first sender stride of a binomial tree).
-func topMask(p int) int {
-	m := 1
-	for m < p {
-		m *= 2
-	}
-	return m / 2
+	// All members must share one communicator object so that collective
+	// rendezvous state matches; intern by membership.
+	return c.w.internComm(ids)
 }

@@ -9,14 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// runCollective executes body on a fresh world with the given collective
-// model and returns per-rank outputs.
-func runCollective(t *testing.T, nodes, perNode int, model CollModel,
-	body func(c *Comm, r *Rank) []int64) [][]int64 {
+// runCollective executes body on a fresh world and returns per-rank
+// outputs.
+func runCollective(t *testing.T, nodes, perNode int, body func(c *Comm, r *Rank) []int64) [][]int64 {
 	t.Helper()
 	w := testWorld(t, nodes, perNode)
 	c := w.Comm()
-	c.SetCollModel(model)
 	out := make([][]int64, w.Size())
 	if err := w.Run(func(r *Rank) {
 		out[r.ID()] = body(c, r)
@@ -27,14 +25,13 @@ func runCollective(t *testing.T, nodes, perNode int, model CollModel,
 }
 
 func TestBarrierSynchronisesBothModels(t *testing.T) {
-	for _, model := range []CollModel{Analytic, MessagePassing} {
+	for _, model := range bothModels {
 		w := testWorld(t, 4, 2)
 		c := w.Comm()
-		c.SetCollModel(model)
 		var after []sim.Time
 		err := w.Run(func(r *Rank) {
 			r.Compute(sim.Time(r.ID()) * sim.Millisecond) // skewed arrivals
-			c.Barrier(r)
+			model.barrier(c, r)
 			after = append(after, r.Now())
 		})
 		if err != nil {
@@ -50,9 +47,9 @@ func TestBarrierSynchronisesBothModels(t *testing.T) {
 }
 
 func TestAllreduceValues(t *testing.T) {
-	for _, model := range []CollModel{Analytic, MessagePassing} {
-		out := runCollective(t, 3, 2, model, func(c *Comm, r *Rank) []int64 {
-			return c.Allreduce(r, []int64{int64(r.ID()), int64(-r.ID()), 1}, MaxOp)
+	for _, model := range bothModels {
+		out := runCollective(t, 3, 2, func(c *Comm, r *Rank) []int64 {
+			return model.allreduce(c, r, []int64{int64(r.ID()), int64(-r.ID()), 1}, MaxOp)
 		})
 		for rank, v := range out {
 			if v[0] != 5 || v[1] != 0 || v[2] != 1 {
@@ -63,9 +60,9 @@ func TestAllreduceValues(t *testing.T) {
 }
 
 func TestAllreduceSumAndMin(t *testing.T) {
-	out := runCollective(t, 2, 2, MessagePassing, func(c *Comm, r *Rank) []int64 {
-		s := c.Allreduce(r, []int64{int64(r.ID() + 1)}, SumOp)
-		m := c.Allreduce(r, []int64{int64(r.ID() + 1)}, MinOp)
+	out := runCollective(t, 2, 2, func(c *Comm, r *Rank) []int64 {
+		s := c.msgAllreduce(r, []int64{int64(r.ID() + 1)}, SumOp)
+		m := c.msgAllreduce(r, []int64{int64(r.ID() + 1)}, MinOp)
 		return []int64{s[0], m[0]}
 	})
 	for rank, v := range out {
@@ -76,13 +73,12 @@ func TestAllreduceSumAndMin(t *testing.T) {
 }
 
 func TestAllgatherValues(t *testing.T) {
-	for _, model := range []CollModel{Analytic, MessagePassing} {
+	for _, model := range bothModels {
 		w := testWorld(t, 2, 2)
 		c := w.Comm()
-		c.SetCollModel(model)
 		results := make([][][]int64, w.Size())
 		err := w.Run(func(r *Rank) {
-			results[r.ID()] = c.Allgather(r, []int64{int64(r.ID() * 10), int64(r.ID())})
+			results[r.ID()] = model.allgather(c, r, []int64{int64(r.ID() * 10), int64(r.ID())})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,17 +94,16 @@ func TestAllgatherValues(t *testing.T) {
 }
 
 func TestAlltoallValues(t *testing.T) {
-	for _, model := range []CollModel{Analytic, MessagePassing} {
+	for _, model := range bothModels {
 		w := testWorld(t, 5, 1)
 		c := w.Comm()
-		c.SetCollModel(model)
 		results := make([][]int64, w.Size())
 		err := w.Run(func(r *Rank) {
 			send := make([]int64, c.Size())
 			for i := range send {
 				send[i] = int64(r.ID()*100 + i)
 			}
-			results[r.ID()] = c.Alltoall(r, send)
+			results[r.ID()] = model.alltoall(c, r, send)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,25 +112,6 @@ func TestAlltoallValues(t *testing.T) {
 			for src, v := range recv {
 				if want := int64(src*100 + me); v != want {
 					t.Fatalf("model %v: recv[%d][%d] = %d, want %d", model, me, src, v, want)
-				}
-			}
-		}
-	}
-}
-
-func TestBcastValues(t *testing.T) {
-	for _, model := range []CollModel{Analytic, MessagePassing} {
-		for root := 0; root < 3; root++ {
-			out := runCollective(t, 3, 1, model, func(c *Comm, r *Rank) []int64 {
-				var vals []int64
-				if c.RankOf(r) == root {
-					vals = []int64{42, 43}
-				}
-				return c.Bcast(r, root, vals)
-			})
-			for rank, v := range out {
-				if len(v) != 2 || v[0] != 42 || v[1] != 43 {
-					t.Fatalf("model %v root %d rank %d: bcast = %v", model, root, rank, v)
 				}
 			}
 		}
@@ -198,7 +174,7 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 	})
 }
 
-// Property: analytic and message-passing modes produce identical data
+// Property: the analytic collectives and the message-passing oracle produce identical data
 // results for random inputs (timings differ, semantics must not).
 func TestCollectiveModelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
@@ -208,28 +184,27 @@ func TestCollectiveModelsAgree(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.Int63n(1000) - 500
 		}
-		run := func(model CollModel) ([][]int64, [][]int64) {
+		run := func(model collModel) ([][]int64, [][]int64) {
 			k := sim.NewKernel(seed)
 			f := netsim.New(k, netsim.Config{Nodes: n, InjRate: sim.GBps, EjeRate: sim.GBps, Latency: sim.Microsecond, MemRate: 10 * sim.GBps})
 			w := NewWorld(k, f, 1)
 			c := w.Comm()
-			c.SetCollModel(model)
 			red := make([][]int64, n)
 			a2a := make([][]int64, n)
 			if err := w.Run(func(rk *Rank) {
-				red[rk.ID()] = c.Allreduce(rk, []int64{vals[rk.ID()]}, MaxOp)
+				red[rk.ID()] = model.allreduce(c, rk, []int64{vals[rk.ID()]}, MaxOp)
 				send := make([]int64, n)
 				for i := range send {
 					send[i] = vals[rk.ID()] * int64(i+1)
 				}
-				a2a[rk.ID()] = c.Alltoall(rk, send)
+				a2a[rk.ID()] = model.alltoall(c, rk, send)
 			}); err != nil {
 				t.Fatal(err)
 			}
 			return red, a2a
 		}
-		ra, aa := run(Analytic)
-		rm, am := run(MessagePassing)
+		ra, aa := run(analytic)
+		rm, am := run(messagePassing)
 		for i := range ra {
 			if ra[i][0] != rm[i][0] {
 				return false
@@ -263,5 +238,71 @@ func TestAnalyticAlltoallScalesWithCommSize(t *testing.T) {
 	}
 	if c4, c16 := cost(4), cost(16); c16 <= c4 {
 		t.Fatalf("alltoall cost must grow with comm size: %v vs %v", c4, c16)
+	}
+}
+
+func TestSplitByColor(t *testing.T) {
+	w := testWorld(t, 4, 2) // 8 ranks
+	sums := make([]int64, w.Size())
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		sub := c.Split(r, r.ID()%2, r.ID())
+		if sub == nil {
+			t.Errorf("rank %d got nil comm", r.ID())
+			return
+		}
+		if sub.Size() != 4 {
+			t.Errorf("sub size = %d", sub.Size())
+		}
+		res := sub.Allreduce(r, []int64{int64(r.ID())}, SumOp)
+		sums[r.ID()] = res[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sums {
+		want := int64(0 + 2 + 4 + 6)
+		if i%2 == 1 {
+			want = 1 + 3 + 5 + 7
+		}
+		if s != want {
+			t.Fatalf("sum[%d] = %d, want %d", i, s, want)
+		}
+	}
+}
+
+func TestSplitUndefinedColor(t *testing.T) {
+	w := testWorld(t, 2, 1)
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		color := 0
+		if r.ID() == 1 {
+			color = -1 // MPI_UNDEFINED
+		}
+		sub := c.Split(r, color, 0)
+		if r.ID() == 1 && sub != nil {
+			t.Error("undefined color must yield nil")
+		}
+		if r.ID() == 0 && (sub == nil || sub.Size() != 1) {
+			t.Errorf("rank 0 comm wrong: %v", sub)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitOrdersByKey(t *testing.T) {
+	w := testWorld(t, 3, 1)
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		// Reverse key order: rank 2 gets key 0, rank 0 key 2.
+		sub := c.Split(r, 0, 2-r.ID())
+		if got := sub.RankOf(r); got != 2-r.ID() {
+			t.Errorf("rank %d: sub rank = %d, want %d", r.ID(), got, 2-r.ID())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

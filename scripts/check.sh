@@ -35,6 +35,9 @@
 # reproduce exactly and the measured events/sec must stay above the
 # recorded floor (including the critical-path analyzer's own floor).
 #
+# The perfbench module (the repo's benchmark, a separate Go module) is
+# vetted and tested too, since the root `go build ./...` skips it.
+#
 # A cardinality lint also gates the run: e10stat -lint rejects unbounded
 # metric-label values and trace-name vocabularies (a raw rank id leaking
 # into a label, say) over the demo pair's metrics and every committed JSON
@@ -66,6 +69,12 @@ go vet ./...
 
 echo "== go test ./...   (tier-1)"
 go test ./...
+
+# perfbench is a separate module, so the root build above does not compile
+# it; it imports harness, mpe, critpath, extent and workloads, so an
+# internal API change can break the benchmark without this step.
+echo "== perfbench module: go vet + go test"
+(cd perfbench && go vet ./... && go test ./...)
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
     echo "== race pass skipped (SKIP_RACE=1)"
