@@ -229,7 +229,7 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 			sendReqs = append(sendReqs, r.Isend(c.Member(ep.aggs[a]).ID(), tag, msg))
 		}
 		r.Waitall(sendReqs)
-		msgs, recvErr := f.awaitShuffle(recvReqs, ep.deadline)
+		msgs, recvErr := f.awaitRecvs(recvReqs, ep.deadline)
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 
 		// Aggregator: pack the collective buffer and write the domain. A
@@ -296,9 +296,9 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 	return firstErr
 }
 
-// awaitShuffle collects this round's shuffled data messages, bounding each
-// wait by deadline when it is positive.
-func (f *File) awaitShuffle(reqs []*mpi.Request, deadline sim.Time) ([]*mpi.Message, error) {
+// awaitRecvs collects the messages of reqs in order, bounding each wait by
+// deadline when it is positive.
+func (f *File) awaitRecvs(reqs []*mpi.Request, deadline sim.Time) ([]*mpi.Message, error) {
 	msgs := make([]*mpi.Message, 0, len(reqs))
 	for _, q := range reqs {
 		if deadline <= 0 {

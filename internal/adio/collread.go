@@ -19,6 +19,11 @@ const tagReadBase = 1 << 26
 // file domains, per-round Alltoall dissemination, Isend/Irecv/Waitall)
 // mirrors the write path. Reads always target the global file: §III-B of
 // the paper explains why reads from other ranks' caches are unsupported.
+//
+// Every collective surfaces a timeout (armed by World.SetCollTimeout) as
+// an error wrapping mpi.ErrCollTimeout. With a timeout armed, each wait
+// for a request or reply message is bounded at half of it, and a missed
+// message fails the read with an error wrapping mpi.ErrRecvTimeout.
 func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	r, c, log := f.rank, f.comm, f.log
 	total, err := validateSegs(segs)
@@ -31,7 +36,11 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 	// Offset exchange and interleaving check, as in the write path.
 	span := mpe.StartSpan(r.Now())
-	minSt, maxEnd, interleaved := globalRange(c.Allgather(r, accessBounds(segs)))
+	offs, err := c.TryAllgather(r, accessBounds(segs))
+	if err != nil {
+		return readFailed(err)
+	}
+	minSt, maxEnd, interleaved := globalRange(offs)
 	span.End(log, mpe.PhaseCalc, r.Now())
 
 	if f.hints.CBRead == HintDisable || (f.hints.CBRead == HintAutomatic && !interleaved) {
@@ -52,6 +61,9 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		}
 	}
 	payload := buf != nil
+	// As in the failover write, a receive gives up well before the
+	// collective timeout would fail the next collective.
+	deadline := r.World().CollTimeout() / 2
 
 	for m := 0; m < ntimes; m++ {
 		reqTag := tagReadBase + 2*(m&0x7fff)
@@ -74,7 +86,10 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		}
 
 		span = mpe.StartSpan(r.Now())
-		reqSizes := c.Alltoall(r, wantSizes)
+		reqSizes, err := c.TryAlltoall(r, wantSizes)
+		if err != nil {
+			return readFailed(err)
+		}
 		span.End(log, mpe.PhaseShuffleA2A, r.Now())
 
 		span = mpe.StartSpan(r.Now())
@@ -111,7 +126,10 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			replyAggs = append(replyAggs, a)
 			r.Send(aggWorld, reqTag, mpi.Message{Vals: vals})
 		}
-		r.Waitall(reqReqs)
+		reqMsgs, err := f.awaitRecvs(reqReqs, deadline)
+		if err != nil {
+			return readFailed(err)
+		}
 
 		// Aggregator: read the covering range once (data-sieving read) and
 		// answer every request.
@@ -124,8 +142,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 					exts []extent.Extent
 				}
 				var reqs []request
-				for i, q := range reqReqs {
-					msg := r.Wait(q)
+				for i, msg := range reqMsgs {
 					var exts []extent.Extent
 					for j := 0; j+1 < len(msg.Vals); j += 2 {
 						e := extent.Extent{Off: msg.Vals[j], Len: msg.Vals[j+1]}
@@ -175,9 +192,11 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		}
 
 		// Collect the replies and place them into the caller's buffer.
-		r.Waitall(replyReqs)
-		for i, q := range replyReqs {
-			msg := r.Wait(q)
+		replyMsgs, err := f.awaitRecvs(replyReqs, deadline)
+		if err != nil {
+			return readFailed(err)
+		}
+		for i, msg := range replyMsgs {
 			if !payload {
 				continue
 			}
@@ -191,9 +210,16 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	}
 
 	span = mpe.StartSpan(r.Now())
-	c.Allreduce(r, []int64{0}, mpi.MaxOp)
+	if _, err := c.TryAllreduce(r, []int64{0}, mpi.MaxOp); err != nil {
+		return readFailed(err)
+	}
 	span.End(log, mpe.PhasePostWrite, r.Now())
 	return nil
+}
+
+// readFailed wraps a collective or receive timeout for the caller.
+func readFailed(err error) error {
+	return fmt.Errorf("adio: collective read: %w", err)
 }
 
 // buildReadReply packs the bytes of exts (from the aggregator's scratch

@@ -2,12 +2,14 @@ package adio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/extent"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -250,6 +252,60 @@ func TestBeeGFSDriverEndToEndContent(t *testing.T) {
 					t.Fatalf("byte %d = %d, want %d", base+b, got[base+b], want)
 				}
 			}
+		}
+	}
+}
+
+// TestCollectiveReadSurvivesNodeLossUnderCollTimeout kills a node 1 ms into
+// a collective read with a collective timeout armed. Run must not deadlock:
+// every survivor either gets a timeout error or reads back exactly its
+// bytes.
+func TestCollectiveReadSurvivesNodeLossUnderCollTimeout(t *testing.T) {
+	const chunk, cycles = 16 << 10, 4
+	cl := newCluster(t, 7, 4, 2, store.NewMem)
+	nranks := cl.w.Size()
+	info := mpi.Info{HintCBNodes: "2", HintCBBufferSize: "4096",
+		HintCBWrite: HintEnable, HintCBRead: HintEnable}
+
+	errs := make([]error, nranks)
+	got := make([][]byte, nranks)
+	err := cl.w.Run(func(r *mpi.Rank) {
+		f, err := OpenColl(r, OpenArgs{
+			Comm: cl.w.Comm(), Registry: cl.reg, Path: "out.dat", Create: true, Info: info,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		segs, data := blockCyclic(nranks, r.ID(), chunk, cycles)
+		if err := f.WriteStridedColl(segs, data); err != nil {
+			t.Error(err)
+			return
+		}
+		cl.w.Comm().Barrier(r)
+		if r.ID() == 0 {
+			cl.w.SetCollTimeout(50 * sim.Millisecond)
+			cl.k.After(sim.Millisecond, func() { cl.w.KillNode(2) })
+		}
+		cl.w.Comm().Barrier(r)
+		got[r.ID()] = make([]byte, len(data))
+		errs[r.ID()] = f.ReadStridedColl(segs, got[r.ID()])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < nranks; rank++ {
+		if !cl.w.Alive(rank) {
+			continue
+		}
+		if rerr := errs[rank]; rerr != nil {
+			if !errors.Is(rerr, mpi.ErrCollTimeout) && !errors.Is(rerr, mpi.ErrRecvTimeout) {
+				t.Errorf("survivor rank %d: error %v matches neither mpi.ErrCollTimeout nor mpi.ErrRecvTimeout", rank, rerr)
+			}
+			continue
+		}
+		if _, data := blockCyclic(nranks, rank, chunk, cycles); !bytes.Equal(got[rank], data) {
+			t.Errorf("survivor rank %d: read returned nil error but wrong bytes", rank)
 		}
 	}
 }

@@ -399,40 +399,6 @@ func (c *Comm) Barrier(r *Rank) {
 	sp.end(r)
 }
 
-// Allreduce combines each rank's vals element-wise with op; every rank
-// receives the combined vector (MPI_Allreduce).
-func (c *Comm) Allreduce(r *Rank, vals []int64, op Op) []int64 {
-	sp := c.beginColl(r, "allreduce")
-	defer func() { sp.end(r) }()
-	inputs := c.sync(r, "allreduce", int64(8*len(vals)), vals)
-	return foldInputs(inputs, vals, op)
-}
-
-// foldInputs reduces the contributed vectors element-wise, skipping slots
-// that are nil (possible only after a collective timeout left some ranks
-// unheard).
-func foldInputs(inputs [][]int64, own []int64, op Op) []int64 {
-	var out []int64
-	for _, in := range inputs {
-		if in == nil {
-			continue
-		}
-		if out == nil {
-			out = make([]int64, len(in))
-			copy(out, in)
-			continue
-		}
-		for j := range out {
-			out[j] = op(out[j], in[j])
-		}
-	}
-	if out == nil {
-		out = make([]int64, len(own))
-		copy(out, own)
-	}
-	return out
-}
-
 // Allgather collects each rank's vals; result[i] is rank i's contribution
 // (MPI_Allgather / MPI_Allgatherv).
 func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
@@ -443,26 +409,6 @@ func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
 	// read-only. Copying the outer slice would cost O(ranks) per caller —
 	// 400 MB across one 4096-rank collective write.
 	return c.sync(r, "allgather", int64(8*len(vals)), vals)
-}
-
-// Alltoall sends send[i] to comm rank i and returns recv where recv[i] is
-// the value sent by rank i (MPI_Alltoall with one int64 per pair). This is
-// the dissemination step at the start of every two-phase exchange round.
-func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
-	if len(send) != len(c.ranks) {
-		panic("mpi: alltoall send vector must have comm-size entries")
-	}
-	sp := c.beginColl(r, "alltoall")
-	defer func() { sp.end(r) }()
-	inputs := c.sync(r, "alltoall", 8, send)
-	me := c.RankOf(r)
-	out := make([]int64, len(c.ranks))
-	for i, in := range inputs {
-		if in != nil {
-			out[i] = in[me]
-		}
-	}
-	return out
 }
 
 // ---- Error-aware (Try) variants ----
@@ -479,8 +425,9 @@ func (c *Comm) TryBarrier(r *Rank) error {
 	return err
 }
 
-// TryAllreduce is Allreduce with timeout surfacing; on error the partial
-// result is nil.
+// TryAllreduce combines each rank's vals element-wise with op; every rank
+// receives the combined vector (MPI_Allreduce). On a timeout the result is
+// nil.
 func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	sp := c.beginColl(r, "allreduce")
 	defer func() { sp.end(r) }()
@@ -488,10 +435,19 @@ func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldInputs(inputs, vals, op), nil
+	// A completed rendezvous holds every rank's contribution.
+	out := make([]int64, len(inputs[0]))
+	copy(out, inputs[0])
+	for _, in := range inputs[1:] {
+		for j := range out {
+			out[j] = op(out[j], in[j])
+		}
+	}
+	return out, nil
 }
 
-// TryAllgather is Allgather with timeout surfacing.
+// TryAllgather is Allgather with timeout surfacing; on a timeout the
+// result is nil.
 func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
 	sp := c.beginColl(r, "allgather")
 	defer func() { sp.end(r) }()
@@ -503,7 +459,10 @@ func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
 	return inputs, nil
 }
 
-// TryAlltoall is Alltoall with timeout surfacing.
+// TryAlltoall sends send[i] to comm rank i and returns recv where recv[i]
+// is the value sent by rank i (MPI_Alltoall with one int64 per pair). This
+// is the dissemination step at the start of every two-phase exchange
+// round. On a timeout the result is nil.
 func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	if len(send) != len(c.ranks) {
 		panic("mpi: alltoall send vector must have comm-size entries")
@@ -517,9 +476,7 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	me := c.RankOf(r)
 	out := make([]int64, len(c.ranks))
 	for i, in := range inputs {
-		if in != nil {
-			out[i] = in[me]
-		}
+		out[i] = in[me]
 	}
 	return out, nil
 }

@@ -126,7 +126,7 @@ func TestSubCommunicator(t *testing.T) {
 		if sub.RankOf(r) < 0 {
 			return
 		}
-		v := sub.Allreduce(r, []int64{int64(r.ID())}, SumOp)
+		v := must(sub.TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
 		results[r.ID()] = v[0]
 	})
 	if err != nil {
@@ -142,9 +142,9 @@ func TestSingleRankCollectivesAreFree(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		c := w.Comm()
 		c.Barrier(r)
-		v := c.Allreduce(r, []int64{9}, MaxOp)
+		v := must(c.TryAllreduce(r, []int64{9}, MaxOp))
 		g := c.Allgather(r, []int64{7})
-		a := c.Alltoall(r, []int64{5})
+		a := must(c.TryAlltoall(r, []int64{5}))
 		if v[0] != 9 || g[0][0] != 7 || a[0] != 5 {
 			t.Error("single-rank collectives wrong")
 		}
@@ -169,7 +169,7 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 		if r.ID() == 0 {
 			c.Barrier(r)
 		} else {
-			c.Allreduce(r, []int64{1}, MaxOp)
+			_, _ = c.TryAllreduce(r, []int64{1}, MaxOp)
 		}
 	})
 }
@@ -229,7 +229,7 @@ func TestAnalyticAlltoallScalesWithCommSize(t *testing.T) {
 		var end sim.Time
 		if err := w.Run(func(r *Rank) {
 			send := make([]int64, n)
-			c.Alltoall(r, send)
+			must(c.TryAlltoall(r, send))
 			end = r.Now()
 		}); err != nil {
 			t.Fatal(err)
@@ -254,7 +254,7 @@ func TestSplitByColor(t *testing.T) {
 		if sub.Size() != 4 {
 			t.Errorf("sub size = %d", sub.Size())
 		}
-		res := sub.Allreduce(r, []int64{int64(r.ID())}, SumOp)
+		res := must(sub.TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
 		sums[r.ID()] = res[0]
 	})
 	if err != nil {

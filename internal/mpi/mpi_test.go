@@ -18,6 +18,15 @@ func testWorld(t *testing.T, nodes, perNode int) *World {
 	return NewWorld(k, f, perNode)
 }
 
+// must unwraps a Try collective's result in a test that arms no timeout,
+// where an error can only be a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestWorldLayout(t *testing.T) {
 	w := testWorld(t, 4, 8)
 	if w.Size() != 32 || w.RanksPerNode() != 8 {

@@ -35,7 +35,7 @@ func (m collModel) allreduce(c *Comm, r *Rank, vals []int64, op Op) []int64 {
 	if m == messagePassing {
 		return c.msgAllreduce(r, vals, op)
 	}
-	return c.Allreduce(r, vals, op)
+	return must(c.TryAllreduce(r, vals, op))
 }
 
 func (m collModel) allgather(c *Comm, r *Rank, vals []int64) [][]int64 {
@@ -49,7 +49,7 @@ func (m collModel) alltoall(c *Comm, r *Rank, send []int64) []int64 {
 	if m == messagePassing {
 		return c.msgAlltoall(r, send)
 	}
-	return c.Alltoall(r, send)
+	return must(c.TryAlltoall(r, send))
 }
 
 // advanceTagFor reserves a tag block for one collective call. All ranks

@@ -345,7 +345,7 @@ func TestReliableNoFaultsNoPerturbation(t *testing.T) {
 			w.Comm().Barrier(r)
 			r.Send(peer, 2, Message{Vals: []int64{int64(r.ID())}})
 			r.Recv(peer, 2)
-			w.Comm().Allreduce(r, []int64{int64(r.ID())}, SumOp)
+			must(w.Comm().TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,6 +36,3 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = nil
 }
-
-// Waiting returns the number of parked processes.
-func (c *Cond) Waiting() int { return len(c.waiters) }

@@ -1,8 +1,17 @@
+//go:build go1.23
+
+// The kernel hands control to processes with iter.Pull, new in Go 1.23.
+// The root go.mod stays at go 1.22 because the separate perfbench module
+// declares 1.22 and raising the root would make its build demand a go.mod
+// update; this constraint lifts just this file to the 1.23 language and
+// library.
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 
@@ -28,6 +37,11 @@ var ErrEventBudget = errors.New("sim: event budget exhausted")
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
 // create kernels with NewKernel.
+//
+// Each process runs as a coroutine (iter.Pull) that the kernel resumes
+// directly. A panic in a process makes Run panic with the process name and
+// value. A runtime.Goexit in a process (t.FailNow, say) is not contained:
+// iter.Pull carries it into the goroutine that called Run.
 type Kernel struct {
 	now        Time
 	seq        uint64
@@ -38,7 +52,6 @@ type Kernel struct {
 	dispatched int64
 
 	live    map[int]*Proc // all spawned, unfinished processes
-	yield   chan struct{} // process -> kernel: "I blocked or finished"
 	running bool
 	err     error
 
@@ -54,9 +67,8 @@ type Kernel struct {
 // NewKernel creates a kernel whose random number stream is seeded with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  make(map[int]*Proc),
-		yield: make(chan struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		live: make(map[int]*Proc),
 	}
 }
 
@@ -146,9 +158,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Fired reports whether the timer's callback has run.
-func (t *Timer) Fired() bool { return t.fired }
-
 // AfterTimer schedules fn like After but returns a handle that can cancel
 // the callback before it fires. fn must not block.
 func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
@@ -180,7 +189,6 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		name:   name,
 		nameFn: nameFn,
 		id:     k.nextID,
-		resume: make(chan struct{}),
 		ttk:    trace.NoTrack,
 	}
 	k.nextID++
@@ -191,11 +199,15 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 	return p
 }
 
-// start launches the process goroutine and immediately transfers control to
-// it. Called from kernel context.
+// start creates the process's coroutine and immediately transfers control
+// to it. Called from kernel context.
 func (k *Kernel) start(p *Proc, fn func(p *Proc)) {
-	go func() {
-		<-p.resume // wait for the kernel to hand over control
+	// The stop function is dropped: a finished process needs no stop, and
+	// one still parked after an aborted Run stays suspended.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Recover here rather than let iter.Pull re-panic in the kernel,
+		// which would lose the process name.
 		defer func() {
 			if r := recover(); r != nil {
 				p.panicked = r
@@ -203,17 +215,20 @@ func (k *Kernel) start(p *Proc, fn func(p *Proc)) {
 			p.done = true
 			delete(k.live, p.id)
 			k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
-			k.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
+	})
 	k.transferTo(p)
 }
 
-// transferTo resumes p and waits until it blocks or finishes.
+// transferTo resumes p and returns once it blocks or finishes. A finished
+// process drops its coroutine, so nothing pins the body's captures.
 func (k *Kernel) transferTo(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
+	if !p.done {
+		return
+	}
+	p.next, p.yield = nil, nil
 	if p.panicked != nil {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), p.panicked))
 	}
@@ -263,15 +278,18 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// Proc is a simulation process: a goroutine that the kernel schedules in
-// virtual time. All Proc methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a coroutine that the kernel schedules in
+// virtual time. Control moves between the kernel and a process by direct
+// coroutine switch (iter.Pull), never through the Go scheduler, so exactly
+// one of them runs at a time. All Proc methods must be called from the
+// process's own body.
 type Proc struct {
 	k        *Kernel
 	name     string
 	nameFn   func() string // lazy name, resolved on first Name() call
 	id       int
-	resume   chan struct{}
+	next     func() (struct{}, bool) // kernel -> process: resume until it blocks
+	yield    func(struct{}) bool     // process -> kernel: "I blocked"
 	done     bool
 	panicked interface{}
 	ttk      trace.TrackID
@@ -310,15 +328,13 @@ func (p *Proc) TraceTrack() trace.TrackID { return p.ttk }
 func (p *Proc) block() {
 	if tr := p.k.tracer; tr != nil && p.ttk >= 0 {
 		start := p.k.now
-		p.k.yield <- struct{}{}
-		<-p.resume
+		p.yield(struct{}{})
 		if p.k.now > start {
 			tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(p.k.now))
 		}
 		return
 	}
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Sleep advances the process by d of virtual time.

@@ -1,9 +1,9 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel models virtual time as int64 nanoseconds and runs simulation
-// processes as cooperatively scheduled goroutines: at any instant exactly one
-// process executes, and processes hand control back to the kernel whenever
-// they block (Sleep, Park, resource acquisition). Events that fire at the
+// processes as coroutines: at any instant exactly one process executes, and
+// processes hand control back to the kernel by a direct coroutine switch
+// whenever they block (Sleep, Park, resource acquisition). Events that fire at the
 // same virtual time are ordered by creation sequence, so a run with a given
 // seed is bit-for-bit reproducible.
 //

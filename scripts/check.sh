@@ -35,6 +35,9 @@
 # reproduce exactly and the measured events/sec must stay above the
 # recorded floor (including the critical-path analyzer's own floor).
 #
+# Every package benchmark under internal/ also runs once (-benchtime 1x),
+# so benchmarks cannot rot unrun.
+#
 # The perfbench module (the repo's benchmark, a separate Go module) is
 # vetted and tested too, since the root `go build ./...` skips it.
 #
@@ -69,6 +72,9 @@ go vet ./...
 
 echo "== go test ./...   (tier-1)"
 go test ./...
+
+echo "== package benchmarks (one iteration each)"
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 # perfbench is a separate module, so the root build above does not compile
 # it; it imports harness, mpe, critpath, extent and workloads, so an
