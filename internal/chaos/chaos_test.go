@@ -274,6 +274,41 @@ func TestExploreSoakIsClean(t *testing.T) {
 	}
 }
 
+// TestSmokeDigestsPinned pins the report digests of the four 25-iteration
+// chaos smokes scripts/check.sh runs (e10chaos -iters 25 -seed N, with
+// -netfaults, -tenants and -corrupt for N = 2, 3, 4). A change to how a
+// scenario's cluster is assembled or run that moves a single event in any
+// of the hundred scenarios changes a digest.
+func TestSmokeDigestsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 chaos scenarios; run without -short")
+	}
+	cases := []struct {
+		name string
+		seed int64
+		gen  func(*rand.Rand) Scenario
+		want string
+	}{
+		{"plain", 1, Generate, "b605f0e5869acf507d2e8e90fbaa24b6013dd1c87b1678044889c57ec0461107"},
+		{"netfaults", 2, GenerateNetFaults, "2715ee1b246ae49b209bfe432a9ffa83883258c59dfc2c4965b063bffc3b25bf"},
+		{"tenants", 3, GenerateTenants, "0827c127153a628374fc61354b747f47fa27da13fb8a5976ba7bbbe9857912ea"},
+		{"corrupt", 4, GenerateCorrupt, "72b99af68a49820ee39727e8f0f5ca8a1e50f7f38675cd917eb8142cff036ac5"},
+	}
+	for _, c := range cases {
+		rep, err := ExploreGen(c.seed, 25, c.gen, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := rep.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s smoke (seed %d): digest %s, want %s", c.name, c.seed, got, c.want)
+		}
+	}
+}
+
 // TestInjectionsTripTheirInvariant is the oracle self-test: each deliberate
 // sabotage must be caught by the invariant it targets. A green checker
 // under its injection would miss the real bug class.
