@@ -237,10 +237,6 @@ func (f *File) InstalledHooks() Hooks { return f.hooks }
 // aggregators for this file.
 func (f *File) IsAggregator() bool { return f.myAgg >= 0 }
 
-// AggregatorIndex returns this rank's position in the aggregator list, or
-// -1 when it is not an aggregator.
-func (f *File) AggregatorIndex() int { return f.myAgg }
-
 // Aggregators returns the comm ranks of the aggregators.
 func (f *File) Aggregators() []int {
 	out := make([]int, len(f.aggList))
@@ -250,9 +246,6 @@ func (f *File) Aggregators() []int {
 
 // SetAtomicity toggles MPI_File_set_atomicity.
 func (f *File) SetAtomicity(v bool) { f.atomic = v }
-
-// Atomicity reports the current atomic mode.
-func (f *File) Atomicity() bool { return f.atomic }
 
 // WriteContig is ADIOI_GEN_WriteContig: the cache hook may intercept it;
 // otherwise data goes straight to the backend file system.

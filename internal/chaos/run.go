@@ -205,25 +205,10 @@ func (r *run) files() []string {
 	return out
 }
 
-// setup assembles the cluster, observability, crash hook and fault
-// schedule.
+// setup allocates the per-run bookkeeping and builds the cluster through a
+// harness session, with every observer on and, for degraded-mode
+// scenarios, the reliable transport plus bounded collectives.
 func (r *run) setup() error {
-	cfg := harness.Scaled(r.sc.Seed, r.sc.Nodes, r.sc.PerNode)
-	cfg.Payload = true // oracles compare real bytes
-	if r.sc.SSDCapKB > 0 {
-		cfg.SSD.Capacity = r.sc.SSDCapKB << 10
-	}
-	r.cl = harness.NewCluster(cfg)
-	r.tracer = trace.New()
-	r.mreg = metrics.New()
-	r.cl.Kernel.SetTracer(r.tracer)
-	r.cl.Kernel.SetMetrics(r.mreg)
-	budget := r.sc.EventBudget
-	if budget <= 0 {
-		budget = DefaultEventBudget
-	}
-	r.cl.Kernel.SetEventBudget(budget)
-
 	r.ref = make(map[string]store.Store)
 	r.tenantCaches = make([][]*core.Cache, len(r.sc.Tenants))
 	ranks := r.sc.ranks()
@@ -242,25 +227,47 @@ func (r *run) setup() error {
 	for i := range r.live {
 		r.live[i] = make(map[*core.Cache]bool)
 	}
-	r.cl.OnCrash = func(node int) {
+
+	cfg := harness.Scaled(r.sc.Seed, r.sc.Nodes, r.sc.PerNode)
+	cfg.Payload = true // oracles compare real bytes
+	if r.sc.SSDCapKB > 0 {
+		cfg.SSD.Capacity = r.sc.SSDCapKB << 10
+	}
+	s, err := harness.NewSession(harness.Spec{
+		Cluster: cfg, TraceEvents: true, Metrics: true, PreRun: r.preRun,
+		// The degraded-mode stack: retransmitting transport plus bounded
+		// collectives, so lost messages and partitions surface as typed
+		// errors instead of deadlocks. The timeout must exceed one
+		// two-phase round's aggregator I/O at the chaos block sizes.
+		Reliable: r.sc.Collective, CollTimeout: collectiveTimeout,
+	})
+	if err != nil {
+		return err
+	}
+	r.tracer, r.mreg = s.Tracer, s.Metrics
+	return nil
+}
+
+// preRun wires the scenario into the freshly assembled cluster: the event
+// budget, the crash hook, the fault schedule and any pre-run injection.
+func (r *run) preRun(cl *harness.Cluster) error {
+	r.cl = cl
+	budget := r.sc.EventBudget
+	if budget <= 0 {
+		budget = DefaultEventBudget
+	}
+	cl.Kernel.SetEventBudget(budget)
+	cl.OnCrash = func(node int) {
 		for c := range r.live[node] {
 			c.Crash()
 		}
 		if r.sc.Collective {
 			// Degraded-mode scenarios model the whole node dying: its MPI
 			// ranks unwind too, and the survivors must fail over.
-			r.cl.World.KillNode(node)
+			cl.World.KillNode(node)
 		}
 	}
-	if r.sc.Collective {
-		// The degraded-mode stack: retransmitting transport plus bounded
-		// collectives, so lost messages and partitions surface as typed
-		// errors instead of deadlocks. The timeout must exceed one
-		// two-phase round's aggregator I/O at the chaos block sizes.
-		r.cl.World.EnableReliable(mpi.ReliableConfig{})
-		r.cl.World.SetCollTimeout(collectiveTimeout)
-	}
-	if _, err := r.cl.ArmFaults(r.sc.Schedule()); err != nil {
+	if _, err := cl.ArmFaults(r.sc.Schedule()); err != nil {
 		return fmt.Errorf("chaos: arming schedule: %w", err)
 	}
 	applyInjection(r, phasePreRun)

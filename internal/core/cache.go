@@ -710,10 +710,6 @@ func (c *Cache) Quarantined() []extent.Extent { return c.quarantine.Extents() }
 // Recovered returns the ranges this cache replayed to the global file.
 func (c *Cache) Recovered() []extent.Extent { return c.recovered.Extents() }
 
-// CacheFile exposes the underlying cache file (nil after a discarding
-// close); tests use it to inspect retained cache contents.
-func (c *Cache) CacheFile() *nvm.File { return c.cfile }
-
 // Outstanding returns the number of sync requests not yet completed.
 func (c *Cache) Outstanding() int {
 	n := 0

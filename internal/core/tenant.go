@@ -201,6 +201,3 @@ func (c *Cache) evictClean(need int64) int64 {
 	}
 	return freed
 }
-
-// TenantName returns the owning tenant ("" in single-tenant mode).
-func (c *Cache) TenantName() string { return c.opts.Tenant.Name }

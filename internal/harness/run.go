@@ -6,14 +6,11 @@ import (
 	"strconv"
 
 	"repro/internal/adio"
-	"repro/internal/burst"
 	"repro/internal/core"
 	"repro/internal/critpath"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -113,7 +110,7 @@ type Spec struct {
 	PreRun func(cl *Cluster) error
 }
 
-// DefaultCollTimeout is the collective timeout Run arms when
+// DefaultCollTimeout is the collective timeout NewSession arms when
 // Spec.Reliable is set and Spec.CollTimeout is zero. It bounds how long
 // a collective waits for a crashed or partitioned peer before returning
 // a typed timeout error.
@@ -236,156 +233,50 @@ func (s Spec) hints() mpi.Info {
 }
 
 // Run executes one experiment cell on a freshly built cluster and computes
-// the perceived bandwidth per Equation 2.
+// the perceived bandwidth per Equation 2. The cell is one job spanning the
+// world, run on the world communicator.
 func Run(spec Spec) (*Result, error) {
-	if spec.Case == BurstBuffer && spec.Cluster.BurstBuffer == nil {
-		bb := burst.DefaultConfig()
-		spec.Cluster.BurstBuffer = &bb
-	}
-	cl := NewCluster(spec.Cluster)
-	var tr *trace.Tracer
-	if spec.TraceEvents || spec.TracePath != "" || spec.CritPath || spec.TimelineBuckets > 0 {
-		tr = trace.New()
-		cl.Kernel.SetTracer(tr)
-	}
-	var reg *metrics.Registry
-	if spec.Metrics {
-		reg = metrics.New()
-		cl.Kernel.SetMetrics(reg)
-	}
-	switch {
-	case spec.Case == CacheTheoretical:
-		cl.CoreEnv.SkipSync = true
-	case spec.Case == BurstBuffer:
-		cl.Env.Hooks = cl.BB.HooksFactory()
-	}
-	if spec.Resilient && !spec.Reliable {
-		return nil, fmt.Errorf("harness: Spec.Resilient requires Spec.Reliable (failover needs collective timeouts)")
-	}
-	if spec.Reliable {
-		cl.World.EnableReliable(mpi.ReliableConfig{})
-		ct := spec.CollTimeout
-		if ct == 0 {
-			ct = DefaultCollTimeout
-		}
-		cl.World.SetCollTimeout(ct)
-	}
-	if spec.PreRun != nil {
-		if err := spec.PreRun(cl); err != nil {
-			return nil, err
-		}
-	}
-	var injector *fault.Injector
-	if spec.FaultSpec != "" {
-		sched, err := fault.Parse(spec.FaultSpec)
-		if err != nil {
-			return nil, err
-		}
-		injector, err = cl.ArmFaults(sched)
-		if err != nil {
-			return nil, err
-		}
-	}
-	w := cl.World
-	comm := w.Comm()
-	nranks := w.Size()
-	info := spec.hints()
-
-	logs := make([]*mpe.Log, nranks)
-	for i := range logs {
-		logs[i] = mpe.NewLog()
-		if spec.Trace {
-			logs[i].EnableTimeline()
-		}
-		if tr != nil {
-			// Registers the rank tracks 0..n-1 up front, in ascending order.
-			logs[i].BindTracer(tr, w.Rank(i).TraceTrack(tr))
-		}
-		if reg != nil {
-			logs[i].BindMetrics(reg, i)
-		}
-	}
-	writeTimes := make([]sim.Time, spec.NFiles) // identical across ranks (barrier-fenced)
-	closeWaits := make([][]sim.Time, spec.NFiles)
-	for i := range closeWaits {
-		closeWaits[i] = make([]sim.Time, nranks)
-	}
-	peakBuf := make([]int64, nranks)
-	failovers := make([]int64, nranks)
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	err := w.Run(func(r *mpi.Rank) {
-		me := comm.RankOf(r)
-		var prev *mpiio.File
-		prevIdx := -1
-		closePrev := func() {
-			if prev == nil {
-				return
-			}
-			comm.Barrier(r)
-			t0 := r.Now()
-			fail(prev.Close())
-			closeWaits[prevIdx][me] = r.Now() - t0
-			peak := prev.Handle().Stats.PeakBufBytes
-			if peak > peakBuf[me] {
-				peakBuf[me] = peak
-			}
-			if fe := prev.Handle().Stats.FailoverEpochs; fe > failovers[me] {
-				failovers[me] = fe
-			}
-			prev, prevIdx = nil, -1
-		}
-		for k := 0; k < spec.NFiles; k++ {
-			// Figure 3 workflow: the previous file's close is deferred to
-			// the beginning of this I/O phase.
-			closePrev()
-			comm.Barrier(r)
-			t0 := r.Now()
-			f, err := cl.Env.OpenWithLog(r, comm, fmt.Sprintf("%s.%04d", spec.Workload.Name(), k),
-				mpiio.ModeCreate|mpiio.ModeWrOnly, info, logs[me])
-			if err != nil {
-				fail(err)
-				return
-			}
-			fail(spec.Workload.WritePhase(r, f, spec.Cluster.Payload))
-			comm.Barrier(r)
-			if me == 0 {
-				writeTimes[k] = r.Now() - t0
-			}
-			prev, prevIdx = f, k
-			if k < spec.NFiles-1 || !spec.IncludeLastSync {
-				// Compute phase C(k+1). With IncludeLastSync (IOR), the
-				// final write has no following compute: C(N) = 0.
-				r.Compute(spec.ComputeDelay)
-			}
-		}
-		closePrev()
-	})
+	s, err := NewSession(spec)
 	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	spec = s.Spec
+	cl := s.Cluster
+	w := cl.World
+	comm := w.Comm()
+	j := &job{
+		name:            spec.Workload.Name(),
+		workload:        spec.Workload,
+		nfiles:          spec.NFiles,
+		compute:         spec.ComputeDelay,
+		includeLastSync: spec.IncludeLastSync,
+		info:            spec.hints(),
+	}
+	s.prepare(j, 0, w.Size())
+	if err := w.Run(func(r *mpi.Rank) {
+		j.run(r, comm, comm.RankOf(r), cl)
+	}); err != nil {
+		return nil, err
+	}
+	if j.err != nil {
+		return nil, j.err
 	}
 
 	res := &Result{
 		Spec:             spec,
-		TotalBytes:       spec.Workload.FileBytes(nranks) * int64(spec.NFiles),
+		TotalBytes:       j.totalBytes(),
 		Breakdown:        make(map[mpe.Phase]sim.Time),
 		WallTime:         cl.Kernel.Now(),
 		EventsDispatched: cl.Kernel.EventsDispatched(),
-		Logs:             logs,
+		Logs:             j.logs,
+		PeakBufBytes:     j.peakBuf,
+		FailoverEpochs:   j.failovers,
+		Report:           ClusterReport(cl),
 	}
-	res.Report = ClusterReport(cl)
-	if injector != nil {
-		res.FaultReport = injector.Report()
+	if s.Injector != nil {
+		res.FaultReport = s.Injector.Report()
 	}
-	if tr != nil {
+	if tr := s.Tracer; tr != nil {
 		res.Trace = tr
 		res.TraceSummary = tr.Summary()
 		if spec.TracePath != "" {
@@ -394,7 +285,7 @@ func Run(spec Spec) (*Result, error) {
 			}
 		}
 	}
-	if reg != nil {
+	if reg := s.Metrics; reg != nil {
 		res.Metrics = reg
 		res.MetricsSummary = reg.Text()
 	}
@@ -402,47 +293,16 @@ func Run(spec Spec) (*Result, error) {
 	// trace bytes and every measured virtual time are identical with or
 	// without them.
 	if spec.CritPath {
-		res.CritPath = critpath.Analyze(tr, int64(res.WallTime))
+		res.CritPath = critpath.Analyze(s.Tracer, int64(res.WallTime))
 		res.CritPathReport = res.CritPath.Markdown()
 	}
 	if spec.TimelineBuckets > 0 {
-		res.Timeline = critpath.BuildTimeline(tr, int64(res.WallTime), spec.TimelineBuckets)
+		res.Timeline = critpath.BuildTimeline(s.Tracer, int64(res.WallTime), spec.TimelineBuckets)
 		res.TimelineReport = res.Timeline.Markdown()
 	}
-	var denom sim.Time
-	for k := 0; k < spec.NFiles; k++ {
-		var wait sim.Time
-		for _, cw := range closeWaits[k] {
-			if cw > wait {
-				wait = cw
-			}
-		}
-		// Close always pays a couple of metadata round trips; only count
-		// waits beyond that noise floor as non-hidden synchronisation.
-		if wait < 10*sim.Millisecond {
-			wait = 0
-		}
-		if k == spec.NFiles-1 && !spec.IncludeLastSync {
-			wait = 0
-		}
-		res.Phases = append(res.Phases, PhaseMetrics{WriteTime: writeTimes[k], CloseWait: wait})
-		denom += writeTimes[k] + wait
-	}
-	if denom > 0 {
-		res.BandwidthGBs = float64(res.TotalBytes) / denom.Seconds() / 1e9
-	}
+	res.Phases, res.BandwidthGBs = j.bandwidth()
 	for _, ph := range mpe.BreakdownPhases {
-		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max
-	}
-	for _, pb := range peakBuf {
-		if pb > res.PeakBufBytes {
-			res.PeakBufBytes = pb
-		}
-	}
-	for _, fe := range failovers {
-		if fe > res.FailoverEpochs {
-			res.FailoverEpochs = fe
-		}
+		res.Breakdown[ph] = mpe.Aggregate(j.logs, ph).Max
 	}
 	return res, nil
 }

@@ -8,10 +8,7 @@ import (
 	"repro/internal/adio"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/mpe"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
-	"repro/internal/nvm"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -135,9 +132,11 @@ func (j JobSpec) hints() mpi.Info {
 
 // RunMulti executes several tenant jobs concurrently on one freshly built
 // cluster. World ranks are assigned to jobs in contiguous blocks, in job
-// order; ranks beyond the jobs' total idle. Each job opens its own files
-// over a Split communicator, so the jobs interleave on the shared fabric,
-// PFS and NVM devices but never synchronize with each other.
+// order; ranks beyond the jobs' total idle. Each job runs Run's per-rank
+// workflow over its own Split communicator, so the jobs interleave on the
+// shared fabric, PFS and NVM devices but never synchronize with each other.
+// Tenant jobs have no IncludeLastSync: a compute phase follows every file,
+// and the last close wait is excluded from the job's bandwidth.
 func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	if len(spec.Jobs) == 0 {
 		return nil, errors.New("harness: RunMulti needs at least one job")
@@ -160,197 +159,60 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 		}
 		total += j.Ranks
 	}
-	cl := NewCluster(spec.Cluster)
-	if total > cl.World.Size() {
-		return nil, fmt.Errorf("harness: jobs need %d ranks, world has %d", total, cl.World.Size())
-	}
-	var tr *trace.Tracer
-	if spec.TraceEvents {
-		tr = trace.New()
-		cl.Kernel.SetTracer(tr)
-	}
-	var reg *metrics.Registry
-	if spec.Metrics {
-		reg = metrics.New()
-		cl.Kernel.SetMetrics(reg)
-	}
-
-	w := cl.World
-	comm := w.Comm()
-	njobs := len(spec.Jobs)
-	// jobOf maps a world rank to its job (or -1: idle).
-	jobOf := make([]int, w.Size())
-	starts := make([]int, njobs)
-	next := 0
-	for i, j := range spec.Jobs {
-		starts[i] = next
-		for k := 0; k < j.Ranks; k++ {
-			jobOf[next] = i
-			next++
-		}
-	}
-	for i := next; i < w.Size(); i++ {
-		jobOf[i] = -1
-	}
-
-	infos := make([]mpi.Info, njobs)
-	for i, j := range spec.Jobs {
-		infos[i] = j.hints()
-	}
-	type rankOut struct {
-		stats     core.Stats
-		fallbacks int
-		err       error
-		start     sim.Time
-		end       sim.Time
-	}
-	outs := make([]rankOut, w.Size())
-	// Per-job, per-file write times and close waits, job-rank-0 view.
-	writeTimes := make([][]sim.Time, njobs)
-	closeWaits := make([][][]sim.Time, njobs)
-	for i, j := range spec.Jobs {
-		nf := j.NFiles
-		if nf <= 0 {
-			nf = 1
-		}
-		writeTimes[i] = make([]sim.Time, nf)
-		closeWaits[i] = make([][]sim.Time, nf)
-		for k := range closeWaits[i] {
-			closeWaits[i][k] = make([]sim.Time, j.Ranks)
-		}
-	}
-
-	err := w.Run(func(r *mpi.Rank) {
-		me := comm.RankOf(r)
-		ji := jobOf[me]
-		// Split is collective over the world: every rank participates,
-		// idle ranks (color < 0) get a nil communicator and retire.
-		jcomm := comm.Split(r, ji, me)
-		if ji < 0 {
-			return
-		}
-		job := spec.Jobs[ji]
-		if job.StartDelay > 0 {
-			r.Compute(job.StartDelay)
-		}
-		out := &outs[me]
-		out.start = r.Now()
-		jme := me - starts[ji]
-		nf := job.NFiles
-		if nf <= 0 {
-			nf = 1
-		}
-		log := mpe.NewLog()
-		fail := func(err error) {
-			if err != nil && out.err == nil {
-				out.err = err
-			}
-		}
-		accounted := make(map[*adio.File]bool)
-		account := func(f *mpiio.File) {
-			h := f.Handle()
-			if accounted[h] {
-				return
-			}
-			accounted[h] = true
-			if h.Stats.CacheFallback {
-				out.fallbacks++
-			}
-			if c, ok := h.InstalledHooks().(*core.Cache); ok && c != nil {
-				out.stats = addStats(out.stats, c.Stats)
-			}
-		}
-		var prev *mpiio.File
-		prevIdx := -1
-		closePrev := func() {
-			if prev == nil {
-				return
-			}
-			jcomm.Barrier(r)
-			t0 := r.Now()
-			fail(prev.Close())
-			closeWaits[ji][prevIdx][jme] = r.Now() - t0
-			account(prev)
-			prev, prevIdx = nil, -1
-		}
-		for k := 0; k < nf; k++ {
-			closePrev()
-			if out.err != nil {
-				break
-			}
-			jcomm.Barrier(r)
-			t0 := r.Now()
-			f, err := cl.Env.OpenWithLog(r, jcomm,
-				fmt.Sprintf("%s.%04d", job.Name, k),
-				mpiio.ModeCreate|mpiio.ModeWrOnly, infos[ji], log)
-			if err != nil {
-				fail(err)
-				break
-			}
-			fail(job.Workload.WritePhase(r, f, spec.Cluster.Payload))
-			jcomm.Barrier(r)
-			if jme == 0 {
-				writeTimes[ji][k] = r.Now() - t0
-			}
-			prev, prevIdx = f, k
-			if k < nf-1 {
-				r.Compute(job.ComputeDelay)
-			}
-		}
-		closePrev()
-		out.end = r.Now()
-	})
+	s, err := NewSession(Spec{Cluster: spec.Cluster, Metrics: spec.Metrics, TraceEvents: spec.TraceEvents})
 	if err != nil {
 		return nil, err
 	}
+	cl := s.Cluster
+	w := cl.World
+	if total > w.Size() {
+		return nil, fmt.Errorf("harness: jobs need %d ranks, world has %d", total, w.Size())
+	}
+	jobs := make([]*job, len(spec.Jobs))
+	// jobOf maps a world rank to its job (or -1: idle).
+	jobOf := make([]int, w.Size())
+	first := 0
+	for i, js := range spec.Jobs {
+		jobs[i] = &job{
+			name:       js.Name,
+			workload:   js.Workload,
+			nfiles:     max(js.NFiles, 1),
+			compute:    js.ComputeDelay,
+			startDelay: js.StartDelay,
+			info:       js.hints(),
+		}
+		s.prepare(jobs[i], first, js.Ranks)
+		for k := 0; k < js.Ranks; k++ {
+			jobOf[first+k] = i
+		}
+		first += js.Ranks
+	}
+	for i := first; i < w.Size(); i++ {
+		jobOf[i] = -1
+	}
 
-	res := &MultiResult{Spec: spec, WallTime: cl.Kernel.Now()}
+	comm := w.Comm()
+	if err := w.Run(func(r *mpi.Rank) {
+		me := comm.RankOf(r)
+		// Split is collective over the world: every rank participates,
+		// idle ranks (color < 0) get a nil communicator and retire.
+		jcomm := comm.Split(r, jobOf[me], me)
+		if jcomm == nil {
+			return
+		}
+		jobs[jobOf[me]].run(r, jcomm, jcomm.RankOf(r), cl)
+	}); err != nil {
+		return nil, err
+	}
+
+	res := &MultiResult{Spec: spec, WallTime: cl.Kernel.Now(), Trace: s.Tracer, Metrics: s.Metrics}
 	res.Report = ClusterReport(cl)
-	if tr != nil {
-		res.Trace = tr
-	}
-	if reg != nil {
-		res.Metrics = reg
-	}
-	for i, j := range spec.Jobs {
-		jr := JobResult{Name: j.Name, Ranks: j.Ranks}
-		nf := j.NFiles
-		if nf <= 0 {
-			nf = 1
+	for _, j := range jobs {
+		jr := JobResult{
+			Name: j.name, Ranks: len(j.logs), TotalBytes: j.totalBytes(),
+			WallTime: j.wall, Stats: j.stats, Fallbacks: j.fallbacks, Err: j.err,
 		}
-		jr.TotalBytes = j.Workload.FileBytes(j.Ranks) * int64(nf)
-		for ri := starts[i]; ri < starts[i]+j.Ranks; ri++ {
-			o := outs[ri]
-			jr.Stats = addStats(jr.Stats, o.stats)
-			jr.Fallbacks += o.fallbacks
-			if o.err != nil && jr.Err == nil {
-				jr.Err = o.err
-			}
-			if span := o.end - o.start; span > jr.WallTime {
-				jr.WallTime = span
-			}
-		}
-		var denom sim.Time
-		for k := 0; k < nf; k++ {
-			var wait sim.Time
-			for _, cw := range closeWaits[i][k] {
-				if cw > wait {
-					wait = cw
-				}
-			}
-			if wait < 10*sim.Millisecond {
-				wait = 0
-			}
-			if k == nf-1 {
-				// Like coll_perf/Flash-IO (§IV-B), the final close's sync is
-				// excluded from the job's perceived bandwidth.
-				wait = 0
-			}
-			denom += writeTimes[i][k] + wait
-		}
-		if denom > 0 && jr.Err == nil {
-			jr.BandwidthGBs = float64(jr.TotalBytes) / denom.Seconds() / 1e9
-		}
+		_, jr.BandwidthGBs = j.bandwidth()
 		res.Jobs = append(res.Jobs, jr)
 	}
 	return res, nil
@@ -379,14 +241,4 @@ func addStats(a, b core.Stats) core.Stats {
 	a.EvictedBytes += b.EvictedBytes
 	a.AdmitRejects += b.AdmitRejects
 	return a
-}
-
-// Devices returns the per-node NVM devices (chaos and tests inspect their
-// arbiters after a run).
-func (cl *Cluster) Devices() []*nvm.Device {
-	out := make([]*nvm.Device, len(cl.NVMs))
-	for i, fs := range cl.NVMs {
-		out[i] = fs.Device()
-	}
-	return out
 }

@@ -283,9 +283,6 @@ func (r *Rank) Node() *netsim.Node { return r.node }
 // body function passed to World.Run.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
-// Wtime returns the current virtual time in seconds (MPI_Wtime).
-func (r *Rank) Wtime() float64 { return r.proc.Now().Seconds() }
-
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 

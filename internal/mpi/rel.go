@@ -119,9 +119,6 @@ func (w *World) EnableReliable(cfg ReliableConfig) {
 	}
 }
 
-// ReliableEnabled reports whether the reliable-delivery layer is armed.
-func (w *World) ReliableEnabled() bool { return w.rel != nil }
-
 // Retransmits returns how many messages were retransmitted so far.
 func (w *World) Retransmits() int64 {
 	if w.rel == nil {

@@ -186,7 +186,6 @@ type Node struct {
 	dropP  float64 // probability an outbound message is lost; 0 = reliable
 	dupP   float64 // probability an outbound message is duplicated
 	drops  int64   // messages lost on this node's outbound link
-	dups   int64   // messages duplicated on this node's outbound link
 
 	// Metric handles, registered lazily on first use (the registry may be
 	// attached to the kernel after the fabric is built).
@@ -286,14 +285,10 @@ func (n *Node) Drops() int64 { return n.drops }
 
 // CountDup records one message duplicated on this node's outbound link.
 func (n *Node) CountDup() {
-	n.dups++
 	if n.metricsOn() {
 		n.mDups.Inc()
 	}
 }
-
-// Dups returns how many outbound messages this node has duplicated.
-func (n *Node) Dups() int64 { return n.dups }
 
 // stretch scales a nominal NIC duration by the degradation factor.
 func (n *Node) stretch(d sim.Time) sim.Time {
