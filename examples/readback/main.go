@@ -61,7 +61,9 @@ func main() {
 		if err := f.Sync(); err != nil {
 			log.Fatal(err)
 		}
-		comm.Barrier(r)
+		if err := comm.Barrier(r); err != nil {
+			log.Fatal(err)
+		}
 
 		// Independent read of my own slice. For aggregator ranks, the
 		// extents inside their file domain come from the warm SSD cache.

@@ -19,6 +19,7 @@ type cluster struct {
 	k   *sim.Kernel
 	fs  *pfs.System
 	w   *mpi.World
+	fab *netsim.Fabric
 	reg *Registry
 }
 
@@ -40,7 +41,7 @@ func newCluster(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 	drv := NewUFSDriver(func(n int) *pfs.Client { return clients[n] })
 	reg := NewRegistry(drv)
 	reg.Mount("beegfs", NewBeeGFSDriver(func(n int) *pfs.Client { return clients[n] }))
-	return &cluster{k: k, fs: fs, w: w, reg: reg}
+	return &cluster{k: k, fs: fs, w: w, fab: fab, reg: reg}
 }
 
 func TestParseHintsDefaults(t *testing.T) {

@@ -132,7 +132,7 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 
 	// Step 1: exchange access-pattern information (start and end offsets).
 	span := mpe.StartSpan(r.Now())
-	offs, err := c.TryAllgather(r, accessBounds(pending))
+	offs, err := c.Allgather(r, accessBounds(pending))
 	if err != nil {
 		return collFailed(err)
 	}
@@ -196,7 +196,7 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 		// Dissemination: every round starts with an MPI_Alltoall telling
 		// each aggregator how much each process contributes.
 		span = mpe.StartSpan(r.Now())
-		recvSizes, err := c.TryAlltoall(r, sendSizes)
+		recvSizes, err := c.Alltoall(r, sendSizes)
 		if err != nil {
 			return collFailed(err)
 		}
@@ -256,7 +256,7 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 		// landed, so anything a dead aggregator had in flight is replayed
 		// from the sender's retained data in the next epoch.
 		if failover {
-			res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
+			res, err := c.Allreduce(r, []int64{code}, mpi.MaxOp)
 			if err != nil {
 				return collFailed(err)
 			}
@@ -285,7 +285,7 @@ func (f *File) twoPhase(ep epoch, segs []extent.Extent, pre []int64, data []byte
 	if firstErr != nil {
 		code = ackIOErr
 	}
-	res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
+	res, err := c.Allreduce(r, []int64{code}, mpi.MaxOp)
 	if err != nil {
 		return collFailed(err)
 	}

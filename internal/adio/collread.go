@@ -36,7 +36,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 	// Offset exchange and interleaving check, as in the write path.
 	span := mpe.StartSpan(r.Now())
-	offs, err := c.TryAllgather(r, accessBounds(segs))
+	offs, err := c.Allgather(r, accessBounds(segs))
 	if err != nil {
 		return readFailed(err)
 	}
@@ -86,7 +86,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		}
 
 		span = mpe.StartSpan(r.Now())
-		reqSizes, err := c.TryAlltoall(r, wantSizes)
+		reqSizes, err := c.Alltoall(r, wantSizes)
 		if err != nil {
 			return readFailed(err)
 		}
@@ -210,7 +210,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	}
 
 	span = mpe.StartSpan(r.Now())
-	if _, err := c.TryAllreduce(r, []int64{0}, mpi.MaxOp); err != nil {
+	if _, err := c.Allreduce(r, []int64{0}, mpi.MaxOp); err != nil {
 		return readFailed(err)
 	}
 	span.End(log, mpe.PhasePostWrite, r.Now())

@@ -38,8 +38,6 @@ type DriverFile interface {
 	Close(p *sim.Proc)
 	// Size returns the file size as seen by this rank.
 	Size() int64
-	// Resize truncates or extends the file (MPI_File_set_size).
-	Resize(p *sim.Proc, size int64)
 }
 
 // genFileDomains is ROMIO's generic equal partitioning
@@ -197,8 +195,6 @@ func (f *ufsFile) PayloadBacked() bool {
 	_, ok := f.h.Meta().Store().(store.PayloadBacked)
 	return ok
 }
-
-func (f *ufsFile) Resize(p *sim.Proc, size int64) { f.h.Truncate(p, size) }
 
 // Registry maps path prefixes to drivers, like ROMIO's file-system type
 // resolution ("ufs:", "beegfs:", "pvfs2:" prefixes).

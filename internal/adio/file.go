@@ -68,7 +68,6 @@ type File struct {
 	log     *mpe.Log
 	aggList []int // comm ranks acting as aggregators
 	myAgg   int   // my index in aggList, or -1
-	atomic  bool
 	closed  bool
 
 	resilCall int // resilient collective-write call counter (epoch comm scoping)
@@ -109,19 +108,18 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	}
 	span := mpe.StartSpan(r.Now())
 
+	// Without Create every rank opens before the barrier. A failed barrier
+	// ends the open without further I/O.
 	var backend DriverFile
 	me := a.Comm.RankOf(r)
-	if a.Create {
-		if me == 0 {
-			backend, err = drv.Open(r, rel, true, hints)
-		}
-		a.Comm.Barrier(r)
-		if me != 0 {
-			backend, err = drv.Open(r, rel, false, hints)
-		}
-	} else {
+	if !a.Create || me == 0 {
+		backend, err = drv.Open(r, rel, a.Create, hints)
+	}
+	if berr := a.Comm.Barrier(r); err == nil {
+		err = berr
+	}
+	if err == nil && a.Create && me != 0 {
 		backend, err = drv.Open(r, rel, false, hints)
-		a.Comm.Barrier(r)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("adio: open %s: %w", a.Path, err)
@@ -243,9 +241,6 @@ func (f *File) Aggregators() []int {
 	copy(out, f.aggList)
 	return out
 }
-
-// SetAtomicity toggles MPI_File_set_atomicity.
-func (f *File) SetAtomicity(v bool) { f.atomic = v }
 
 // WriteContig is ADIOI_GEN_WriteContig: the cache hook may intercept it;
 // otherwise data goes straight to the backend file system.

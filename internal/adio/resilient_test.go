@@ -228,6 +228,34 @@ func TestCollWriteSurfacesCollTimeout(t *testing.T) {
 	}
 }
 
+// TestOpenCollSurfacesCollTimeout: a partition that never heals cuts the
+// world communicator across a collective open. Every rank arrives at the
+// open's barrier, so no member is missing, but the barrier cannot complete:
+// each rank's OpenColl must fail with the timeout, and only rank 0's create
+// (issued before the barrier) may reach the metadata server.
+func TestOpenCollSurfacesCollTimeout(t *testing.T) {
+	cl := newCluster(t, 1, 2, 2, store.NewMem)
+	cl.w.SetCollTimeout(20 * sim.Millisecond)
+	cl.fab.SetPartition([]int{1}, true)
+	errs := make([]error, cl.w.Size())
+	err := cl.w.Run(func(r *mpi.Rank) {
+		_, errs[r.ID()] = OpenColl(r, OpenArgs{
+			Comm: cl.w.Comm(), Registry: cl.reg, Path: "out.dat", Create: true,
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, e := range errs {
+		if !errors.Is(e, mpi.ErrCollTimeout) {
+			t.Errorf("rank %d: OpenColl error = %v, want mpi.ErrCollTimeout", id, e)
+		}
+	}
+	if got := cl.fs.MetaOps(); got != 1 {
+		t.Errorf("metadata ops = %d, want 1 (rank 0's create only)", got)
+	}
+}
+
 // TestResilientWriteHonoursCBConfigList checks that the failover policy
 // places aggregators with the same cb_config_list rule as the open: with
 // "*:2" over 8 ranks on 4 nodes, the two aggregators are ranks 0 and 1

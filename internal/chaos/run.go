@@ -424,7 +424,7 @@ func (r *run) simulate() {
 
 		// Session 2: recovery open. Rank 0 snapshots the crash session's
 		// journals between two barriers, before any rank can replay them.
-		comm.Barrier(mr)
+		r.fail(me, "fence", comm.Barrier(mr))
 		if me == 0 && sc.Sessions >= 3 {
 			r.idemKeys = r.cl.CoreEnv.JournalKeys()
 			r.idemJ = make(map[string][]extent.Extent, len(r.idemKeys))
@@ -432,7 +432,7 @@ func (r *run) simulate() {
 				r.idemJ[k] = r.cl.CoreEnv.JournalExtents(k)
 			}
 		}
-		comm.Barrier(mr)
+		r.fail(me, "fence", comm.Barrier(mr))
 		r.runSession(mr, "recover1")
 		if sc.Sessions < 3 {
 			return
@@ -441,7 +441,7 @@ func (r *run) simulate() {
 		// Session 3: re-stage the journal (modelling a crash that lost the
 		// journal trim after the data was already durable) and recover
 		// again. The global file must come out byte-identical.
-		comm.Barrier(mr)
+		r.fail(me, "fence", comm.Barrier(mr))
 		if me == 0 && len(r.idemKeys) > 0 {
 			r.idemA = r.snapshotPFS()
 			for _, k := range r.idemKeys {
@@ -450,9 +450,9 @@ func (r *run) simulate() {
 			applyInjection(r, phaseStaging)
 			r.staged = true
 		}
-		comm.Barrier(mr)
+		r.fail(me, "fence", comm.Barrier(mr))
 		r.runSession(mr, "recover2")
-		comm.Barrier(mr)
+		r.fail(me, "fence", comm.Barrier(mr))
 		if me == 0 && r.staged {
 			r.idemB = r.snapshotPFS()
 		}

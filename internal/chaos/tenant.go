@@ -56,7 +56,10 @@ func (r *run) simulateTenants() {
 		if ti < 0 || (r.solo >= 0 && ti != r.solo) {
 			color = -1 // idle rank, or muted tenant in a solo baseline run
 		}
-		jcomm := comm.Split(mr, color, me)
+		jcomm, err := comm.Split(mr, color, me)
+		if err != nil {
+			r.fail(me, "split", err)
+		}
 		if jcomm == nil {
 			return
 		}

@@ -157,7 +157,7 @@ func (j *job) run(r *mpi.Rank, comm *mpi.Comm, me int, cl *Cluster) {
 		if prev == nil {
 			return
 		}
-		comm.Barrier(r)
+		j.fail(comm.Barrier(r))
 		t0 := r.Now()
 		j.fail(prev.Close())
 		j.closeWaits[k][me] = r.Now() - t0
@@ -168,7 +168,7 @@ func (j *job) run(r *mpi.Rank, comm *mpi.Comm, me int, cl *Cluster) {
 		// Figure 3 workflow: the previous file's close is deferred to the
 		// beginning of this I/O phase.
 		closePrev(k - 1)
-		comm.Barrier(r)
+		j.fail(comm.Barrier(r))
 		t0 := r.Now()
 		f, err := cl.Env.OpenWithLog(r, comm, fmt.Sprintf("%s.%04d", j.name, k),
 			mpiio.ModeCreate|mpiio.ModeWrOnly, j.info, j.logs[me])
@@ -177,7 +177,7 @@ func (j *job) run(r *mpi.Rank, comm *mpi.Comm, me int, cl *Cluster) {
 			break
 		}
 		j.fail(j.workload.WritePhase(r, f, cl.Cfg.Payload))
-		comm.Barrier(r)
+		j.fail(comm.Barrier(r))
 		if me == 0 {
 			j.writeTimes[k] = r.Now() - t0
 		}

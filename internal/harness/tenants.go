@@ -192,17 +192,24 @@ func RunMulti(spec MultiSpec) (*MultiResult, error) {
 	}
 
 	comm := w.Comm()
+	var splitErr error
 	if err := w.Run(func(r *mpi.Rank) {
 		me := comm.RankOf(r)
 		// Split is collective over the world: every rank participates,
 		// idle ranks (color < 0) get a nil communicator and retire.
-		jcomm := comm.Split(r, jobOf[me], me)
+		jcomm, err := comm.Split(r, jobOf[me], me)
+		if err != nil && splitErr == nil {
+			splitErr = err
+		}
 		if jcomm == nil {
 			return
 		}
 		jobs[jobOf[me]].run(r, jcomm, jcomm.RankOf(r), cl)
 	}); err != nil {
 		return nil, err
+	}
+	if splitErr != nil {
+		return nil, fmt.Errorf("harness: split: %w", splitErr)
 	}
 
 	res := &MultiResult{Spec: spec, WallTime: cl.Kernel.Now(), Trace: s.Tracer, Metrics: s.Metrics}

@@ -17,6 +17,11 @@ import (
 // multi-round sweeps fast while preserving wait-for-slowest semantics. The
 // tests check it against message-passing algorithms over the simulated
 // network (oracle_test.go).
+//
+// Every collective returns an error: with SetCollTimeout armed, a call that
+// stalls (a dead or stuck member, a partition) fails with *CollTimeoutError
+// instead of waiting forever, except that a Barrier missing only killed
+// members returns nil at the timeout.
 type Comm struct {
 	w       *World
 	ranks   []*Rank
@@ -140,22 +145,26 @@ func (c *Comm) cut() bool {
 	return false
 }
 
-// sync is the analytic rendezvous: every rank contributes input, blocks
-// until all have arrived plus the modelled cost, and gets all inputs back.
-// Timeout errors (only possible with SetCollTimeout armed) are dropped;
-// error-aware callers use syncErr via the Try* wrappers.
-func (c *Comm) sync(r *Rank, kind string, perRankBytes int64, input []int64) [][]int64 {
-	inputs, _ := c.syncErr(r, kind, perRankBytes, input)
-	return inputs
+// syncErr is the analytic rendezvous every collective runs on: each rank
+// contributes input, blocks until all have arrived plus the modelled cost,
+// and gets all inputs back. It opens and closes the call's collSpan, named
+// after kind. When a collective timeout is armed, a per-call cancellable
+// timer bounds the wait, and a collective whose communicator spans an
+// active partition is held open — completing when the partition heals, or
+// failing all participants with *CollTimeoutError when the timer fires
+// first. On the fault-free path the timer is always cancelled before
+// firing, leaving virtual time untouched.
+func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) ([][]int64, error) {
+	// No defer: a rank unwound by Kill never reaches end, so its call stays
+	// unbalanced (see collSpan).
+	sp := c.beginColl(r, kind)
+	inputs, err := c.rendezvous(r, kind, perRankBytes, input)
+	sp.end(r)
+	return inputs, err
 }
 
-// syncErr implements the rendezvous. When a collective timeout is armed, a
-// per-call cancellable timer bounds the wait, and a collective whose
-// communicator spans an active partition is held open — completing when
-// the partition heals, or failing all participants with *CollTimeoutError
-// when the timer fires first. On the fault-free path the timer is always
-// cancelled before firing, leaving virtual time untouched.
-func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) ([][]int64, error) {
+// rendezvous is syncErr without the span.
+func (c *Comm) rendezvous(r *Rank, kind string, perRankBytes int64, input []int64) ([][]int64, error) {
 	r.checkKilled()
 	me := c.RankOf(r)
 	if me < 0 {
@@ -392,45 +401,29 @@ var (
 	BorOp Op = func(a, b int64) int64 { return a | b }
 )
 
-// Barrier blocks until every rank of the communicator has entered.
-func (c *Comm) Barrier(r *Rank) {
-	sp := c.beginColl(r, "barrier")
-	c.sync(r, "barrier", 0, nil)
-	sp.end(r)
-}
-
-// Allgather collects each rank's vals; result[i] is rank i's contribution
-// (MPI_Allgather / MPI_Allgatherv).
-func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
-	sp := c.beginColl(r, "allgather")
-	defer func() { sp.end(r) }()
-	// The rendezvous result is returned as-is: the state it lives in is
-	// released once the collective completes, and callers treat it as
-	// read-only. Copying the outer slice would cost O(ranks) per caller —
-	// 400 MB across one 4096-rank collective write.
-	return c.sync(r, "allgather", int64(8*len(vals)), vals)
-}
-
-// ---- Error-aware (Try) variants ----
-//
-// The Try* collectives surface a *CollTimeoutError instead of silently
-// returning partial data when SetCollTimeout is armed and the operation
-// stalls (dead ranks, network partition).
-
-// TryBarrier is Barrier with timeout surfacing.
-func (c *Comm) TryBarrier(r *Rank) error {
-	sp := c.beginColl(r, "barrier")
-	defer func() { sp.end(r) }()
+// Barrier blocks until every rank of the communicator has entered
+// (MPI_Barrier). A timeout is returned as *CollTimeoutError unless every
+// member that never arrived has been killed: then the survivors have nobody
+// left to wait for, and Barrier returns nil at the timeout instant. A
+// partition or a live member that is stuck still fails the barrier.
+func (c *Comm) Barrier(r *Rank) error {
 	_, err := c.syncErr(r, "barrier", 0, nil)
-	return err
+	var te *CollTimeoutError
+	if !errors.As(err, &te) || len(te.Missing) == 0 {
+		return err
+	}
+	for _, id := range te.Missing {
+		if c.w.Alive(id) {
+			return err
+		}
+	}
+	return nil
 }
 
-// TryAllreduce combines each rank's vals element-wise with op; every rank
+// Allreduce combines each rank's vals element-wise with op; every rank
 // receives the combined vector (MPI_Allreduce). On a timeout the result is
 // nil.
-func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
-	sp := c.beginColl(r, "allreduce")
-	defer func() { sp.end(r) }()
+func (c *Comm) Allreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	inputs, err := c.syncErr(r, "allreduce", int64(8*len(vals)), vals)
 	if err != nil {
 		return nil, err
@@ -446,29 +439,28 @@ func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	return out, nil
 }
 
-// TryAllgather is Allgather with timeout surfacing; on a timeout the
-// result is nil.
-func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
-	sp := c.beginColl(r, "allgather")
-	defer func() { sp.end(r) }()
+// Allgather collects each rank's vals; result[i] is rank i's contribution
+// (MPI_Allgather / MPI_Allgatherv). On a timeout the result is nil.
+func (c *Comm) Allgather(r *Rank, vals []int64) ([][]int64, error) {
 	inputs, err := c.syncErr(r, "allgather", int64(8*len(vals)), vals)
 	if err != nil {
 		return nil, err
 	}
-	// Shared read-only rendezvous result; see Allgather.
+	// The rendezvous result is returned as-is: the state it lives in is
+	// released once the collective completes, and callers treat it as
+	// read-only. Copying the outer slice would cost O(ranks) per caller —
+	// 400 MB across one 4096-rank collective write.
 	return inputs, nil
 }
 
-// TryAlltoall sends send[i] to comm rank i and returns recv where recv[i]
-// is the value sent by rank i (MPI_Alltoall with one int64 per pair). This
-// is the dissemination step at the start of every two-phase exchange
-// round. On a timeout the result is nil.
-func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
+// Alltoall sends send[i] to comm rank i and returns recv where recv[i] is
+// the value sent by rank i (MPI_Alltoall with one int64 per pair). This is
+// the dissemination step at the start of every two-phase exchange round.
+// On a timeout the result is nil.
+func (c *Comm) Alltoall(r *Rank, send []int64) ([]int64, error) {
 	if len(send) != len(c.ranks) {
 		panic("mpi: alltoall send vector must have comm-size entries")
 	}
-	sp := c.beginColl(r, "alltoall")
-	defer func() { sp.end(r) }()
 	inputs, err := c.syncErr(r, "alltoall", 8, send)
 	if err != nil {
 		return nil, err
@@ -485,11 +477,12 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 // in a new communicator ordered by (key, rank), as MPI_Comm_split. Every
 // member must call it; callers with color < 0 (MPI_UNDEFINED) get nil.
 // The grouping is computed via an Allgather of (color, key) pairs, so it
-// costs one collective.
-func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	pairs := c.Allgather(r, []int64{int64(color), int64(key)})
-	if color < 0 {
-		return nil
+// costs one collective, and a timeout of that Allgather is returned with a
+// nil communicator.
+func (c *Comm) Split(r *Rank, color, key int) (*Comm, error) {
+	pairs, err := c.Allgather(r, []int64{int64(color), int64(key)})
+	if err != nil || color < 0 {
+		return nil, err
 	}
 	type member struct {
 		rank int // position in c
@@ -514,5 +507,5 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	}
 	// All members must share one communicator object so that collective
 	// rendezvous state matches; intern by membership.
-	return c.w.internComm(ids)
+	return c.w.internComm(ids), nil
 }

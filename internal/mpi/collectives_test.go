@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,7 +127,7 @@ func TestSubCommunicator(t *testing.T) {
 		if sub.RankOf(r) < 0 {
 			return
 		}
-		v := must(sub.TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
+		v := must(sub.Allreduce(r, []int64{int64(r.ID())}, SumOp))
 		results[r.ID()] = v[0]
 	})
 	if err != nil {
@@ -142,9 +143,9 @@ func TestSingleRankCollectivesAreFree(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		c := w.Comm()
 		c.Barrier(r)
-		v := must(c.TryAllreduce(r, []int64{9}, MaxOp))
-		g := c.Allgather(r, []int64{7})
-		a := must(c.TryAlltoall(r, []int64{5}))
+		v := must(c.Allreduce(r, []int64{9}, MaxOp))
+		g := must(c.Allgather(r, []int64{7}))
+		a := must(c.Alltoall(r, []int64{5}))
 		if v[0] != 9 || g[0][0] != 7 || a[0] != 5 {
 			t.Error("single-rank collectives wrong")
 		}
@@ -169,7 +170,7 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 		if r.ID() == 0 {
 			c.Barrier(r)
 		} else {
-			_, _ = c.TryAllreduce(r, []int64{1}, MaxOp)
+			_, _ = c.Allreduce(r, []int64{1}, MaxOp)
 		}
 	})
 }
@@ -229,7 +230,7 @@ func TestAnalyticAlltoallScalesWithCommSize(t *testing.T) {
 		var end sim.Time
 		if err := w.Run(func(r *Rank) {
 			send := make([]int64, n)
-			must(c.TryAlltoall(r, send))
+			must(c.Alltoall(r, send))
 			end = r.Now()
 		}); err != nil {
 			t.Fatal(err)
@@ -246,7 +247,7 @@ func TestSplitByColor(t *testing.T) {
 	sums := make([]int64, w.Size())
 	err := w.Run(func(r *Rank) {
 		c := w.Comm()
-		sub := c.Split(r, r.ID()%2, r.ID())
+		sub := must(c.Split(r, r.ID()%2, r.ID()))
 		if sub == nil {
 			t.Errorf("rank %d got nil comm", r.ID())
 			return
@@ -254,7 +255,7 @@ func TestSplitByColor(t *testing.T) {
 		if sub.Size() != 4 {
 			t.Errorf("sub size = %d", sub.Size())
 		}
-		res := must(sub.TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
+		res := must(sub.Allreduce(r, []int64{int64(r.ID())}, SumOp))
 		sums[r.ID()] = res[0]
 	})
 	if err != nil {
@@ -279,7 +280,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 		if r.ID() == 1 {
 			color = -1 // MPI_UNDEFINED
 		}
-		sub := c.Split(r, color, 0)
+		sub := must(c.Split(r, color, 0))
 		if r.ID() == 1 && sub != nil {
 			t.Error("undefined color must yield nil")
 		}
@@ -297,12 +298,36 @@ func TestSplitOrdersByKey(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		c := w.Comm()
 		// Reverse key order: rank 2 gets key 0, rank 0 key 2.
-		sub := c.Split(r, 0, 2-r.ID())
+		sub := must(c.Split(r, 0, 2-r.ID()))
 		if got := sub.RankOf(r); got != 2-r.ID() {
 			t.Errorf("rank %d: sub rank = %d, want %d", r.ID(), got, 2-r.ID())
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSplitSurfacesCollTimeout(t *testing.T) {
+	// Rank 1 dies before the Split; its Allgather slot stays empty. With a
+	// timeout armed the survivors must get the timeout error and no
+	// communicator, not a grouping built from the missing rank's nil slot.
+	w := testWorld(t, 2, 2)
+	w.SetCollTimeout(10 * sim.Millisecond)
+	errs := make([]error, w.Size())
+	subs := make([]*Comm, w.Size())
+	err := w.Run(func(r *Rank) {
+		if r.ID() == 1 {
+			w.Kill(1)
+		}
+		subs[r.ID()], errs[r.ID()] = w.Comm().Split(r, 0, r.ID())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 2, 3} {
+		if !errors.Is(errs[id], ErrCollTimeout) || subs[id] != nil {
+			t.Fatalf("rank %d: Split = (%v, %v), want (nil, ErrCollTimeout)", id, subs[id], errs[id])
+		}
 	}
 }

@@ -113,7 +113,7 @@ func NewWorldOn(k *sim.Kernel, fabric *netsim.Fabric, ranksPerNode, computeNodes
 // CollBalance returns how many collective calls rank id entered and how
 // many it completed (normally or with a surfaced error). The two differ
 // only while the rank is inside a collective — or, after the run, when it
-// is wedged in one forever.
+// is wedged in one forever or was killed inside one.
 func (w *World) CollBalance(id int) (started, done int64) {
 	return w.collStarted[id], w.collDone[id]
 }

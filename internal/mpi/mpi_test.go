@@ -18,7 +18,7 @@ func testWorld(t *testing.T, nodes, perNode int) *World {
 	return NewWorld(k, f, perNode)
 }
 
-// must unwraps a Try collective's result in a test that arms no timeout,
+// must unwraps a collective's result in a test that arms no timeout,
 // where an error can only be a bug.
 func must[T any](v T, err error) T {
 	if err != nil {

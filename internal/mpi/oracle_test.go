@@ -35,21 +35,21 @@ func (m collModel) allreduce(c *Comm, r *Rank, vals []int64, op Op) []int64 {
 	if m == messagePassing {
 		return c.msgAllreduce(r, vals, op)
 	}
-	return must(c.TryAllreduce(r, vals, op))
+	return must(c.Allreduce(r, vals, op))
 }
 
 func (m collModel) allgather(c *Comm, r *Rank, vals []int64) [][]int64 {
 	if m == messagePassing {
 		return c.msgAllgather(r, vals)
 	}
-	return c.Allgather(r, vals)
+	return must(c.Allgather(r, vals))
 }
 
 func (m collModel) alltoall(c *Comm, r *Rank, send []int64) []int64 {
 	if m == messagePassing {
 		return c.msgAlltoall(r, send)
 	}
-	return must(c.TryAlltoall(r, send))
+	return must(c.Alltoall(r, send))
 }
 
 // advanceTagFor reserves a tag block for one collective call. All ranks

@@ -216,30 +216,49 @@ func TestWaitDeadlineFastPathNoPerturbation(t *testing.T) {
 }
 
 func TestCollectiveTimeoutOnDeadRank(t *testing.T) {
-	// Rank 1 dies before the barrier; with a collective timeout armed the
-	// survivors get a typed error naming the missing rank instead of
-	// deadlocking.
-	w := testWorld(t, 2, 2)
-	w.SetCollTimeout(10 * sim.Millisecond)
-	errs := make([]error, w.Size())
-	err := w.Run(func(r *Rank) {
-		if r.ID() == 1 {
-			w.Kill(1)
+	// Rank 1 misses the barrier; with a collective timeout armed nobody
+	// deadlocks. If rank 1 is dead, the survivors have nobody left to wait
+	// for and Barrier returns nil at the timeout instant. If rank 1 is
+	// alive but stuck past the timeout, every rank gets a typed error
+	// naming it.
+	const timeout = 10 * sim.Millisecond
+	for _, dead := range []bool{true, false} {
+		w := testWorld(t, 2, 2)
+		w.SetCollTimeout(timeout)
+		errs := make([]error, w.Size())
+		done := make([]sim.Time, w.Size())
+		err := w.Run(func(r *Rank) {
+			if r.ID() == 1 {
+				if dead {
+					w.Kill(1)
+				} else {
+					r.Compute(2 * timeout)
+				}
+			}
+			r.checkKilled()
+			errs[r.ID()] = w.Comm().Barrier(r)
+			done[r.ID()] = r.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.checkKilled()
-		errs[r.ID()] = w.Comm().TryBarrier(r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{0, 2, 3} {
-		e := errs[id]
-		if !errors.Is(e, ErrCollTimeout) {
-			t.Fatalf("rank %d barrier error = %v, want ErrCollTimeout", id, e)
+		if dead {
+			for _, id := range []int{0, 2, 3} {
+				if errs[id] != nil || done[id] != timeout {
+					t.Fatalf("dead peer: rank %d barrier = (%v at %v), want (nil at %v)",
+						id, errs[id], done[id], timeout)
+				}
+			}
+			continue
 		}
-		var cte *CollTimeoutError
-		if !errors.As(e, &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
-			t.Fatalf("rank %d timeout error %v must name missing rank 1", id, e)
+		for id, e := range errs {
+			if !errors.Is(e, ErrCollTimeout) {
+				t.Fatalf("stuck peer: rank %d barrier error = %v, want ErrCollTimeout", id, e)
+			}
+			var cte *CollTimeoutError
+			if !errors.As(e, &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
+				t.Fatalf("stuck peer: rank %d timeout error %v must name missing rank 1", id, e)
+			}
 		}
 	}
 }
@@ -247,28 +266,39 @@ func TestCollectiveTimeoutOnDeadRank(t *testing.T) {
 func TestCollectiveHeldAcrossPartitionHeals(t *testing.T) {
 	// A barrier spanning a partition must hold (not complete) while the cut
 	// is up, then complete for everyone once it heals — before the generous
-	// timeout fires.
-	w := testWorld(t, 2, 1)
-	w.SetCollTimeout(sim.Second)
-	w.fabric.SetPartition([]int{1}, true)
-	w.Kernel().After(50*sim.Millisecond, func() {
-		w.fabric.SetPartition(nil, false)
-	})
-	done := make([]sim.Time, 2)
-	errs := make([]error, 2)
-	err := w.Run(func(r *Rank) {
-		errs[r.ID()] = w.Comm().TryBarrier(r)
-		done[r.ID()] = r.Now()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 2; id++ {
-		if errs[id] != nil {
-			t.Fatalf("rank %d barrier error = %v, want nil (partition healed in time)", id, errs[id])
+	// timeout fires. If the timeout fires first, the barrier fails even
+	// though every rank arrived and none is dead.
+	for _, timeout := range []sim.Time{sim.Second, 20 * sim.Millisecond} {
+		healed := timeout > 50*sim.Millisecond
+		w := testWorld(t, 2, 1)
+		w.SetCollTimeout(timeout)
+		w.fabric.SetPartition([]int{1}, true)
+		w.Kernel().After(50*sim.Millisecond, func() {
+			w.fabric.SetPartition(nil, false)
+		})
+		done := make([]sim.Time, 2)
+		errs := make([]error, 2)
+		err := w.Run(func(r *Rank) {
+			errs[r.ID()] = w.Comm().Barrier(r)
+			done[r.ID()] = r.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if done[id] < 50*sim.Millisecond {
-			t.Fatalf("rank %d finished at %v, before the partition healed", id, done[id])
+		for id := 0; id < 2; id++ {
+			if !healed {
+				var cte *CollTimeoutError
+				if !errors.As(errs[id], &cte) || len(cte.Missing) != 0 {
+					t.Fatalf("rank %d barrier error = %v, want a timeout with no missing rank", id, errs[id])
+				}
+				continue
+			}
+			if errs[id] != nil {
+				t.Fatalf("rank %d barrier error = %v, want nil (partition healed in time)", id, errs[id])
+			}
+			if done[id] < 50*sim.Millisecond {
+				t.Fatalf("rank %d finished at %v, before the partition healed", id, done[id])
+			}
 		}
 	}
 }
@@ -279,7 +309,7 @@ func TestCollectiveTimeoutUnderPermanentPartition(t *testing.T) {
 	w.fabric.SetPartition([]int{1}, true)
 	errs := make([]error, 2)
 	err := w.Run(func(r *Rank) {
-		_, errs[r.ID()] = w.Comm().TryAllreduce(r, []int64{int64(r.ID())}, SumOp)
+		_, errs[r.ID()] = w.Comm().Allreduce(r, []int64{int64(r.ID())}, SumOp)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +375,7 @@ func TestReliableNoFaultsNoPerturbation(t *testing.T) {
 			w.Comm().Barrier(r)
 			r.Send(peer, 2, Message{Vals: []int64{int64(r.ID())}})
 			r.Recv(peer, 2)
-			must(w.Comm().TryAllreduce(r, []int64{int64(r.ID())}, SumOp))
+			must(w.Comm().Allreduce(r, []int64{int64(r.ID())}, SumOp))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -406,4 +436,35 @@ func TestNewSharedCommScopesAreDistinct(t *testing.T) {
 		t.Fatal("same scope must intern to the same communicator")
 	}
 	_ = fmt.Sprint(a, b)
+}
+
+func TestCollBalanceAfterKillInsideCollective(t *testing.T) {
+	// Rank 1 enters the allreduce first and is killed while parked in it;
+	// its contribution stands, so the survivors complete. The killed call
+	// never returns and stays unbalanced; every survivor's call balances.
+	w := testWorld(t, 2, 2)
+	w.Kernel().After(5*sim.Millisecond, func() { w.Kill(1) })
+	sums := make([]int64, w.Size())
+	err := w.Run(func(r *Rank) {
+		if r.ID() != 1 {
+			r.Compute(10 * sim.Millisecond)
+		}
+		sums[r.ID()] = must(w.Comm().Allreduce(r, []int64{int64(r.ID())}, SumOp))[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < w.Size(); id++ {
+		started, done := w.CollBalance(id)
+		want := int64(1)
+		if id == 1 {
+			want = 0
+		}
+		if started != 1 || done != want {
+			t.Fatalf("rank %d CollBalance = (%d, %d), want (1, %d)", id, started, done, want)
+		}
+		if id != 1 && sums[id] != 0+1+2+3 {
+			t.Fatalf("survivor rank %d allreduce = %d, want 6", id, sums[id])
+		}
+	}
 }

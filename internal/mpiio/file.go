@@ -86,9 +86,6 @@ func (f *File) View() View { return f.view }
 // GetInfo is MPI_File_get_info: the hints in use, as normalized.
 func (f *File) GetInfo() mpi.Info { return f.fh.Hints().Echo() }
 
-// SetAtomicity is MPI_File_set_atomicity.
-func (f *File) SetAtomicity(v bool) { f.fh.SetAtomicity(v) }
-
 // WriteAtAll is MPI_File_write_at_all: a collective write of n bytes at
 // view offset vo. data may be nil for metadata-only simulation; otherwise
 // len(data) must equal n.
@@ -150,33 +147,6 @@ func (f *File) Sync() error { return f.fh.Flush() }
 // Size is MPI_File_get_size: the current size of the global file.
 func (f *File) Size() int64 { return f.fh.Backend().Size() }
 
-// SetSize is MPI_File_set_size: truncate or extend the file. It is
-// collective; callers must invoke it on every rank (rank 0 performs the
-// metadata operation, then all ranks synchronise).
-func (f *File) SetSize(size int64) error {
-	if size < 0 {
-		return errors.New("mpiio: negative size")
-	}
-	if f.comm.RankOf(f.rank) == 0 {
-		f.fh.Backend().Resize(f.rank.Proc(), size)
-	}
-	f.comm.Barrier(f.rank)
-	return nil
-}
-
-// Preallocate is MPI_File_preallocate: reserve space up to size. On the
-// global file system this is a metadata-only operation in this model.
-func (f *File) Preallocate(size int64) error {
-	if size < 0 {
-		return errors.New("mpiio: negative size")
-	}
-	if f.comm.RankOf(f.rank) == 0 && size > f.Size() {
-		f.fh.Backend().Resize(f.rank.Proc(), size)
-	}
-	f.comm.Barrier(f.rank)
-	return nil
-}
-
 // Close is MPI_File_close: collective; completes outstanding cache
 // synchronisation first (§III-B), then closes, then optionally deletes.
 func (f *File) Close() error {
@@ -184,7 +154,9 @@ func (f *File) Close() error {
 		return errors.New("mpiio: file closed twice")
 	}
 	err := f.fh.Close()
-	f.comm.Barrier(f.rank)
+	if berr := f.comm.Barrier(f.rank); err == nil {
+		err = berr
+	}
 	f.closed = true
 	if f.amode&ModeDeleteOnClose != 0 && f.comm.RankOf(f.rank) == 0 {
 		if derr := f.env.Delete(f.rank, f.path); derr != nil && err == nil {

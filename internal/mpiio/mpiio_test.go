@@ -327,46 +327,6 @@ func TestSubarray3DTilesProperty(t *testing.T) {
 	}
 }
 
-func TestFileSizeOps(t *testing.T) {
-	env, w, fs := testEnv(t, 1, 2)
-	err := w.Run(func(r *mpi.Rank) {
-		f, err := env.Open(r, w.Comm(), "f", ModeCreate|ModeRdWr, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := f.WriteAt(0, nil, 1000); err != nil {
-			t.Error(err)
-		}
-		w.Comm().Barrier(r)
-		if f.Size() != 1000 {
-			t.Errorf("size = %d", f.Size())
-		}
-		if err := f.SetSize(500); err != nil {
-			t.Error(err)
-		}
-		if f.Size() != 500 {
-			t.Errorf("size after truncate = %d", f.Size())
-		}
-		if err := f.Preallocate(2000); err != nil {
-			t.Error(err)
-		}
-		if f.Size() != 2000 {
-			t.Errorf("size after preallocate = %d", f.Size())
-		}
-		if err := f.SetSize(-1); err == nil {
-			t.Error("negative size must fail")
-		}
-		_ = f.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Lookup("f").Size() != 2000 {
-		t.Fatal("global size wrong")
-	}
-}
-
 func TestCollectiveReadThroughViewAndSubarray(t *testing.T) {
 	env, w, _ := testEnv(t, 2, 2)
 	err := w.Run(func(r *mpi.Rank) {

@@ -501,13 +501,6 @@ func (h *Handle) Sync(p *sim.Proc) {
 	s.metaServe(p)
 }
 
-// Truncate sets the file size (one metadata round trip).
-func (h *Handle) Truncate(p *sim.Proc, size int64) {
-	s := h.client.sys
-	s.metaServe(p)
-	h.meta.data.Truncate(size)
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -331,28 +331,6 @@ func TestTargetJitterVariesServiceTimes(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	k := sim.NewKernel(1)
-	s, f := testSystem(k, 2)
-	c := s.NewClient(f.Node(0))
-	k.Spawn("client", func(p *sim.Proc) {
-		h, _ := c.Open(p, "f", true, Striping{})
-		h.WriteAt(p, []byte("abcdef"), 0, 6)
-		h.Truncate(p, 3)
-		if h.Meta().Size() != 3 {
-			t.Errorf("size = %d", h.Meta().Size())
-		}
-		buf := make([]byte, 6)
-		h.ReadAt(p, buf, 0, 0)
-		if buf[2] != 'c' || buf[3] != 0 {
-			t.Errorf("truncated content = %v", buf)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUtilizationAccessors(t *testing.T) {
 	k := sim.NewKernel(1)
 	s, f := testSystem(k, 2)

@@ -97,24 +97,6 @@ func (cs *ChecksumStore) Written() *extent.Set { return cs.inner.Written() }
 // Size implements Store.
 func (cs *ChecksumStore) Size() int64 { return cs.inner.Size() }
 
-// Truncate implements Store.
-func (cs *ChecksumStore) Truncate(size int64) {
-	old := cs.inner.Size()
-	cs.inner.Truncate(size)
-	if size >= old {
-		return
-	}
-	cs.bad.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
-	if cs.payload {
-		for ci := size / ChecksumChunk; ci <= (old-1)/ChecksumChunk; ci++ {
-			delete(cs.sums, ci)
-		}
-		if size%ChecksumChunk != 0 {
-			cs.rehash(size-1, size) // boundary chunk keeps a valid sum
-		}
-	}
-}
-
 // CorruptAt implements Integrity.
 func (cs *ChecksumStore) CorruptAt(off, n int64) {
 	if n <= 0 {

@@ -103,23 +103,3 @@ func TestChecksumNullLedger(t *testing.T) {
 		t.Fatalf("delegation broken: size=%d written=%d", s.Size(), s.Written().TotalBytes())
 	}
 }
-
-func TestChecksumTruncateDropsState(t *testing.T) {
-	s := NewMemChecksummed()
-	integ := s.(Integrity)
-	data := make([]byte, 2*ChecksumChunk)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
-	s.WriteAt(data, 0, int64(len(data)))
-	integ.CorruptAt(ChecksumChunk+1, 1)
-	s.Truncate(ChecksumChunk / 2)
-	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: 2 * ChecksumChunk}); len(bad) != 0 {
-		t.Fatalf("truncated-away corruption still reported: %v", bad)
-	}
-	// Content before the cut still matches its (re-hashed) checksum.
-	s.WriteAt(data[:16], 0, 16)
-	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: ChecksumChunk}); len(bad) != 0 {
-		t.Fatalf("boundary chunk broken after truncate: %v", bad)
-	}
-}

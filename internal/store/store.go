@@ -21,11 +21,8 @@ type Store interface {
 	ReadAt(buf []byte, off int64)
 	// Written returns the set of extents ever written.
 	Written() *extent.Set
-	// Size returns the file size (highest written offset, or the size set
-	// by Truncate, whichever is larger).
+	// Size returns the file size: the highest written offset.
 	Size() int64
-	// Truncate sets the file size; shrinking discards content beyond size.
-	Truncate(size int64)
 }
 
 // Factory creates a Store for a newly created file.
@@ -124,29 +121,6 @@ func (m *MemStore) Written() *extent.Set { return &m.written }
 // Size implements Store.
 func (m *MemStore) Size() int64 { return m.size }
 
-// Truncate implements Store.
-func (m *MemStore) Truncate(size int64) {
-	if size >= m.size {
-		m.size = size
-		return
-	}
-	m.size = size
-	m.written.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
-	var keep []memChunk
-	for _, c := range m.chunks {
-		end := c.off + int64(len(c.data))
-		switch {
-		case end <= size:
-			keep = append(keep, c)
-		case c.off >= size:
-			// dropped
-		default:
-			keep = append(keep, memChunk{off: c.off, data: c.data[:size-c.off]})
-		}
-	}
-	m.chunks = keep
-}
-
 // NullStore tracks only extents and size; content reads as zero.
 type NullStore struct {
 	written extent.Set
@@ -179,11 +153,3 @@ func (n *NullStore) Written() *extent.Set { return &n.written }
 
 // Size implements Store.
 func (n *NullStore) Size() int64 { return n.size }
-
-// Truncate implements Store.
-func (n *NullStore) Truncate(size int64) {
-	if size < n.size {
-		n.written.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
-	}
-	n.size = size
-}

@@ -56,24 +56,6 @@ func TestMemStoreNilDataWritesZeros(t *testing.T) {
 	}
 }
 
-func TestMemStoreTruncate(t *testing.T) {
-	m := NewMem()
-	m.WriteAt([]byte("abcdef"), 0, 6)
-	m.Truncate(3)
-	if m.Size() != 3 {
-		t.Fatalf("size = %d", m.Size())
-	}
-	buf := make([]byte, 6)
-	m.ReadAt(buf, 0)
-	if !bytes.Equal(buf, []byte{'a', 'b', 'c', 0, 0, 0}) {
-		t.Fatalf("read %v", buf)
-	}
-	m.Truncate(100)
-	if m.Size() != 100 {
-		t.Fatal("growing truncate failed")
-	}
-}
-
 func TestNullStoreTracksExtentsOnly(t *testing.T) {
 	n := NewNull()
 	n.WriteAt(nil, 100, 50)
@@ -89,15 +71,6 @@ func TestNullStoreTracksExtentsOnly(t *testing.T) {
 	n.ReadAt(buf, 100)
 	if !bytes.Equal(buf, []byte{0, 0, 0}) {
 		t.Fatal("null store must read zeros")
-	}
-}
-
-func TestNullStoreTruncateShrinksExtents(t *testing.T) {
-	n := NewNull()
-	n.WriteAt(nil, 0, 100)
-	n.Truncate(40)
-	if n.Size() != 40 || n.Written().TotalBytes() != 40 {
-		t.Fatalf("size=%d written=%d", n.Size(), n.Written().TotalBytes())
 	}
 }
 
